@@ -109,6 +109,33 @@ cmp "$cov1" "$cov4" || {
 }
 dune exec bin/yashme_cli.exe -- trace-lint "$cov1"
 
+echo "== whole-suite byte identity (check-all --jobs 1 vs --jobs 2 vs golden)"
+# The full race report and the witness corpus must not depend on the
+# job count, and the report must match the committed golden byte for
+# byte: simulator and detector optimizations may not move a single
+# output byte.  The corpus path is the only run-specific token in the
+# report; it is normalized before comparing.
+suite_dir=$(mktemp -d /tmp/yashme-ci-suite.XXXXXX)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun"; rm -rf "$suite_dir"' EXIT
+for j in 1 2; do
+  dune exec bin/yashme_cli.exe -- check-all --jobs $j \
+    --corpus-out "$suite_dir/corpus$j.jsonl" \
+    | sed "s#$suite_dir/corpus$j.jsonl#CORPUS#" > "$suite_dir/report$j.txt"
+done
+cmp "$suite_dir/report1.txt" "$suite_dir/report2.txt" || {
+  echo "ci: check-all report differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+}
+cmp "$suite_dir/corpus1.jsonl" "$suite_dir/corpus2.jsonl" || {
+  echo "ci: check-all corpus differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+}
+grep -v '^corpus: ' "$suite_dir/report1.txt" | cmp - CHECK_ALL_golden.txt || {
+  echo "ci: check-all --jobs 1 report differs from CHECK_ALL_golden.txt" >&2
+  exit 1
+}
+rm -rf "$suite_dir"
+
 echo "== litmus-matrix smoke (variants x litmus vs committed golden)"
 # The matrix pins every built-in persistency-model variant's divergence
 # from strict-tso; any semantic drift fails against the committed table.

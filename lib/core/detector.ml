@@ -58,39 +58,45 @@ let begin_exec t ~id =
 
 let record t ~id = Hashtbl.find_opt t.records id
 
-(* Figure 8, Evict_SB(clflush) / Evict_FB: record a flush for the latest
-   store to every address on the flushed cache line, provided the store
-   happens-before the flush and no happens-before-earlier flush is
-   already recorded. *)
-let note_flush r ~line ~flush_cv ~entry =
-  List.iter
-    (fun addr ->
-      match Exec_record.store_at r addr with
+(* Whether some flush entry happens-before [cv].  This walk and the one
+   in [note_flush] are top-level functions: they run on every flush and
+   every post-crash load, and a local closure would allocate each time. *)
+let rec flush_within cv = function
+  | [] -> false
+  | (e : Exec_record.flush_entry) :: rest ->
+      e.Exec_record.fe_lclk <= Clockvec.get cv e.Exec_record.fe_tid || flush_within cv rest
+
+let rec note_flush_addrs r ~flush_cv ~entry = function
+  | [] -> ()
+  | addr :: rest ->
+      (match Exec_record.store_at r addr with
       | None -> ()
       | Some s ->
           let store_hb_flush =
             s.Px86.Event.lclk <= Clockvec.get flush_cv s.Px86.Event.tid
           in
-          let already =
-            List.exists
-              (fun (e : Exec_record.flush_entry) ->
-                e.Exec_record.fe_lclk <= Clockvec.get flush_cv e.Exec_record.fe_tid)
-              (Exec_record.flushes_of r s.Px86.Event.seq)
-          in
+          let already = flush_within flush_cv (Exec_record.flushes_of r s.Px86.Event.seq) in
           if store_hb_flush && not already then begin
             Metrics.incr m_flush_records;
             Exec_record.add_flush r ~seq:s.Px86.Event.seq entry
-          end)
-    (Exec_record.line_addrs r line)
+          end);
+      note_flush_addrs r ~flush_cv ~entry rest
+
+(* Figure 8, Evict_SB(clflush) / Evict_FB: record a flush for the latest
+   store to every address on the flushed cache line, provided the store
+   happens-before the flush and no happens-before-earlier flush is
+   already recorded. *)
+let note_flush r ~line ~flush_cv ~entry =
+  note_flush_addrs r ~flush_cv ~entry (Exec_record.line_addrs r line)
 
 let observer t =
-  let with_current f = match t.current with Some r -> f r | None -> () in
   {
     Px86.Observer.on_store_commit =
-      (fun s -> with_current (fun r -> Exec_record.set_store r s));
+      (fun s -> match t.current with Some r -> Exec_record.set_store r s | None -> ());
     on_clflush_commit =
       (fun f ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             note_flush r
               ~line:(Px86.Addr.line f.Px86.Event.faddr)
               ~flush_cv:f.Px86.Event.fcv
@@ -98,11 +104,13 @@ let observer t =
                 {
                   Exec_record.fe_tid = f.Px86.Event.ftid;
                   fe_lclk = f.Px86.Event.flclk;
-                }));
+                }
+        | None -> ());
     on_clwb_commit = (fun _ -> ());
     on_flush_applied =
       (fun f ~fence ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             note_flush r
               ~line:(Px86.Addr.line f.Px86.Event.faddr)
               ~flush_cv:f.Px86.Event.fcv
@@ -110,10 +118,12 @@ let observer t =
                 {
                   Exec_record.fe_tid = fence.Px86.Event.ktid;
                   fe_lclk = fence.Px86.Event.klclk;
-                }));
+                }
+        | None -> ());
     on_nt_persisted =
       (fun st ~fence ->
-        with_current (fun r ->
+        match t.current with
+        | Some r ->
             (* A fenced movnt store is durable on its own: record the
                fence as its flush (no other store on the line is
                affected). *)
@@ -121,7 +131,8 @@ let observer t =
               {
                 Exec_record.fe_tid = fence.Px86.Event.ktid;
                 fe_lclk = fence.Px86.Event.klclk;
-              }));
+              }
+        | None -> ());
     on_fence = (fun _ -> ());
   }
 
@@ -129,6 +140,18 @@ let observer t =
    phase that shut down with everything persisted) are trusted: loads
    reading their stores are not race-checked. *)
 let record_of t exec = Hashtbl.find_opt t.records exec
+
+(* Prefix mode: only flushes inside the smallest consistent prefix are
+   mandatory; any shorter prefix omits the others (5.1). *)
+let rec flush_counts t r = function
+  | [] -> false
+  | (e : Exec_record.flush_entry) :: rest -> (
+      match t.dmode with
+      | Baseline -> true
+      | Prefix ->
+          count_cv_comparison ();
+          e.Exec_record.fe_lclk <= Clockvec.get (Exec_record.cvpre r) e.Exec_record.fe_tid
+          || flush_counts t r rest)
 
 let load_atomic t ~exec ~store =
   match record_of t exec with
@@ -160,16 +183,6 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
              <= Clockvec.get lastflush store.Px86.Event.tid
            end
       in
-      let flush_counts (e : Exec_record.flush_entry) =
-        match t.dmode with
-        | Baseline -> true
-        | Prefix ->
-            (* Only flushes inside the smallest consistent prefix are
-               mandatory; any shorter prefix omits the others (5.1). *)
-            count_cv_comparison ();
-            e.Exec_record.fe_lclk
-            <= Clockvec.get (Exec_record.cvpre r) e.Exec_record.fe_tid
-      in
       let persisted =
         if t.deadr then
           (* eADR (section 7.5): the cache is in the persistence domain,
@@ -182,8 +195,7 @@ let load_non_atomic t ~exec ~store ~load_addr ~load_size ~load_tid ~load_exec ~c
               count_cv_comparison ();
               store.Px86.Event.lclk
               <= Clockvec.get (Exec_record.cvpre r) store.Px86.Event.tid)
-        else
-          List.exists flush_counts (Exec_record.flushes_of r store.Px86.Event.seq)
+        else flush_counts t r (Exec_record.flushes_of r store.Px86.Event.seq)
       in
       if covered_by_coherence || persisted then begin
         Metrics.incr

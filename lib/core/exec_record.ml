@@ -11,13 +11,16 @@ type t = {
   mutable cvpre : Clockvec.t;
 }
 
+(* Small initial tables: most executions touch a few dozen addresses,
+   and the tables are only ever probed by key, never iterated, so their
+   size cannot change any result. *)
 let create ~id =
   {
     rid = id;
-    storemap = Hashtbl.create 256;
-    by_line = Hashtbl.create 64;
-    flushmap = Hashtbl.create 256;
-    lastflush = Hashtbl.create 64;
+    storemap = Hashtbl.create 16;
+    by_line = Hashtbl.create 16;
+    flushmap = Hashtbl.create 16;
+    lastflush = Hashtbl.create 16;
     cvpre = Clockvec.empty;
   }
 
@@ -44,7 +47,7 @@ let line_addrs t line =
   match Hashtbl.find_opt t.by_line line with Some r -> !r | None -> []
 
 let flushes_of t seq =
-  match Hashtbl.find_opt t.flushmap seq with Some r -> !r | None -> []
+  match Hashtbl.find t.flushmap seq with r -> !r | exception Not_found -> []
 
 let add_flush t ~seq entry =
   match Hashtbl.find_opt t.flushmap seq with
@@ -52,7 +55,7 @@ let add_flush t ~seq entry =
   | None -> Hashtbl.add t.flushmap seq (ref [ entry ])
 
 let lastflush t ~line =
-  match Hashtbl.find_opt t.lastflush line with Some cv -> cv | None -> Clockvec.empty
+  match Hashtbl.find t.lastflush line with cv -> cv | exception Not_found -> Clockvec.empty
 
 let join_lastflush t ~line cv =
   Hashtbl.replace t.lastflush line (Clockvec.join (lastflush t ~line) cv)

@@ -58,33 +58,33 @@ let copy t =
   end;
   c
 
-let find_origin t ~addr ~size =
-  let rec scan i best distinct =
-    if i >= size then (best, distinct)
-    else
-      match Hashtbl.find_opt t.origins (addr + i) with
-      | None -> scan (i + 1) best distinct
-      | Some o ->
-          let best' =
-            match best with
-            | None -> Some o
-            | Some b -> if o.store.Event.seq > b.store.Event.seq then Some o else Some b
-          in
-          let distinct' =
-            match best with
-            | Some b when b.store != o.store -> true
-            | _ -> distinct
-          in
-          scan (i + 1) best' distinct'
-  in
-  match scan 0 None false with
-  | None, _ -> None
-  | Some o, torn -> Some (o, torn)
+(* The newest origin over the range's bytes and whether they disagree.
+   A top-level loop with a sentinel for "none yet", so that a post-crash
+   load allocates only its result. *)
+let no_origin =
+  { store =
+      { Event.seq = -1; tid = -1; lclk = 0; cv = Yashme_util.Clockvec.empty; addr = 0;
+        size = 1; value = 0L; access = Access.Plain; nt = false; label = None };
+    exec_id = -1 }
+
+let rec scan_origin t addr size i best torn =
+  if i >= size then if best == no_origin then None else Some (best, torn)
+  else
+    match Hashtbl.find t.origins (addr + i) with
+    | exception Not_found -> scan_origin t addr size (i + 1) best torn
+    | o ->
+        let torn = torn || (best != no_origin && best.store != o.store) in
+        let best =
+          if best == no_origin || o.store.Event.seq > best.store.Event.seq then o else best
+        in
+        scan_origin t addr size (i + 1) best torn
+
+let find_origin t ~addr ~size = scan_origin t addr size 0 no_origin false
 
 let find_candidates t ~addr ~size =
-  match Hashtbl.find_opt t.cands (addr, size) with
-  | Some cs -> cs
-  | None ->
+  match Hashtbl.find t.cands (addr, size) with
+  | cs -> cs
+  | exception Not_found ->
       (* Distinct byte origins, oldest first. *)
       let seen = Hashtbl.create 4 in
       let acc = ref [] in

@@ -15,6 +15,8 @@ type origin = { store : Event.store; exec_id : int }
 type t = {
   exec_id : int;  (** execution that produced this state; -1 for boot *)
   image : Memimage.t;
+      (** written only while the crash materializes it; executions
+          seeded from the state read it and copy it, never write it *)
   origins : (Addr.t, origin) Hashtbl.t;  (** byte address -> writer *)
   cands : (Addr.t * int, origin list) Hashtbl.t;
       (** (addr, size) -> candidate stores, oldest first *)

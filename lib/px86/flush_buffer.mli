@@ -9,10 +9,13 @@ type t
 
 val create : unit -> t
 val is_empty : t -> bool
+
+(** Append at the newest end: O(1) amortized ({!Ring}). *)
 val add : t -> Event.flush -> unit
 
-(** [drain t] removes and returns all pending [clwb]s, oldest first. *)
-val drain : t -> Event.flush list
+(** [drain t f] removes every pending [clwb] and applies [f] to each,
+    oldest first. *)
+val drain : t -> (Event.flush -> unit) -> unit
 
 (** Pending entries without removing them, oldest first. *)
 val pending : t -> Event.flush list

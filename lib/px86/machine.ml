@@ -54,9 +54,9 @@ type t = {
   inherited : Crashstate.t;
   threads : (int, thread) Hashtbl.t;
   cache : Memimage.t;  (* committed state: inherited image + committed stores *)
-  base : Memimage.t;  (* pristine copy of the inherited image *)
   pers : Persistence.t;
   mutable seq : int;  (* global cache-commit order counter *)
+  mutable sb_entries : int;  (* entries buffered across all store buffers *)
 }
 
 type read_source =
@@ -73,9 +73,9 @@ let create ?inherited ~exec_id cfg =
     inherited;
     threads = Hashtbl.create 8;
     cache = Memimage.copy inherited.Crashstate.image;
-    base = Memimage.copy inherited.Crashstate.image;
     pers = Persistence.create ();
     seq = 0;
+    sb_entries = 0;
   }
 
 let exec_id t = t.exec_id
@@ -83,9 +83,9 @@ let inherited t = t.inherited
 let persistence t = t.pers
 
 let thread t tid =
-  match Hashtbl.find_opt t.threads tid with
-  | Some th -> th
-  | None ->
+  match Hashtbl.find t.threads tid with
+  | th -> th
+  | exception Not_found ->
       let th =
         { tid; cv = Clockvec.empty; lclk = 0;
           sb = Store_buffer.create (); fb = Flush_buffer.create ();
@@ -104,6 +104,14 @@ let next_seq t =
   t.seq <- t.seq + 1;
   t.seq
 
+let push t th entry =
+  Store_buffer.push th.sb entry;
+  t.sb_entries <- t.sb_entries + 1
+
+let take t th i =
+  t.sb_entries <- t.sb_entries - 1;
+  Store_buffer.take th.sb i
+
 (* ------------------------------------------------------------------ *)
 (* Store-buffer eviction                                               *)
 
@@ -119,13 +127,16 @@ let apply_store t (s : Event.store) =
 (* A fence also drains the write-combining buffers: every committed
    non-temporal store becomes durable on its own. *)
 let drain_nt t th (fence : Event.fence) =
-  List.iter
-    (fun (s : Event.store) ->
-      Metrics.incr m_nt_persists;
-      Persistence.mark_durable t.pers s;
-      t.cfg.observer.Observer.on_nt_persisted s ~fence)
-    (List.rev th.pending_nt);
-  th.pending_nt <- []
+  match th.pending_nt with
+  | [] -> ()
+  | pending ->
+      List.iter
+        (fun (s : Event.store) ->
+          Metrics.incr m_nt_persists;
+          Persistence.mark_durable t.pers s;
+          t.cfg.observer.Observer.on_nt_persisted s ~fence)
+        (List.rev pending);
+      th.pending_nt <- []
 
 (* Epoch persistency: a fence acts as a persist barrier for the whole
    domain — every store committed before it is persist-ordered before
@@ -147,19 +158,18 @@ let epoch_barrier t (fence : Event.fence) =
           faddr = line * Addr.line_size; kind = Event.Clwb }
       in
       t.cfg.observer.Observer.on_flush_applied f ~fence)
-    (List.sort compare (Persistence.lines t.pers))
+    (Persistence.lines t.pers)
 
 (* [forced] drains regardless of the variant's fence semantics: clean
    shutdown and locked RMWs must empty the buffers even under
    [Fence_nop], where ordinary fences persist nothing. *)
 let drain_flush_buffer ?(forced = false) t th (fence : Event.fence) =
   if forced || t.cfg.variant.Variant.fence = Variant.Fence_full then begin
-    List.iter
-      (fun (f : Event.flush) ->
-        Metrics.incr m_fb_applies;
-        Persistence.flush_line t.pers ~line:(Addr.line f.Event.faddr) ~seq:f.Event.fseq;
-        t.cfg.observer.Observer.on_flush_applied f ~fence)
-      (Flush_buffer.drain th.fb);
+    if not (Flush_buffer.is_empty th.fb) then
+      Flush_buffer.drain th.fb (fun (f : Event.flush) ->
+          Metrics.incr m_fb_applies;
+          Persistence.flush_line t.pers ~line:(Addr.line f.Event.faddr) ~seq:f.Event.fseq;
+          t.cfg.observer.Observer.on_flush_applied f ~fence);
     drain_nt t th fence;
     if t.cfg.variant.Variant.persist_order = Variant.Epoch_fenced then
       epoch_barrier t fence
@@ -195,13 +205,15 @@ let apply_entry t th (entry : Store_buffer.entry) =
 
 let drain_sb t th =
   while not (Store_buffer.is_empty th.sb) do
-    apply_entry t th (Store_buffer.take th.sb 0)
+    apply_entry t th (take t th 0)
   done
 
-let drain_all_sb t = Hashtbl.iter (fun _ th -> drain_sb t th) t.threads
+let drain_all_sb t =
+  if t.sb_entries > 0 then Hashtbl.iter (fun _ th -> drain_sb t th) t.threads
 
 let background t =
   match t.cfg.sb_policy with
+  | _ when t.sb_entries = 0 -> ()
   | Eager -> drain_all_sb t
   | Random_drain p ->
       let nonempty () =
@@ -220,7 +232,7 @@ let background t =
                 | Variant.Drain_tso ->
                     Rng.pick t.cfg.rng (Store_buffer.evictable th.sb)
               in
-              apply_entry t th (Store_buffer.take th.sb idx);
+              apply_entry t th (take t th idx);
               loop ()
             end
       in
@@ -236,21 +248,12 @@ let store ?(nt = false) t ~tid ~addr ~size ~value ~access ~label =
     { Event.seq = -1; tid; lclk = th.lclk; cv = th.cv; addr; size; value; access; nt;
       label }
   in
-  Store_buffer.push th.sb (Store_buffer.Store s)
-
-let committed_read_from t ~addr ~size =
-  let rec newest_covering = function
-    | [] -> None
-    | (s : Event.store) :: rest ->
-        if Event.store_covers s addr size then Some s else newest_covering rest
-  in
-  (* line_stores is oldest-first; search newest-first. *)
-  newest_covering (List.rev (Persistence.line_stores t.pers (Addr.line addr)))
+  push t th (Store_buffer.Store s)
 
 let cache_read t th ~addr ~size ~access =
   let value = Memimage.read t.cache ~addr ~size in
   let source =
-    match committed_read_from t ~addr ~size with
+    match Persistence.newest_covering t.pers ~addr ~size with
     | Some s -> From_cache s
     | None -> (
         match Crashstate.find_origin t.inherited ~addr ~size with
@@ -291,7 +294,7 @@ let clflush t ~tid ~addr =
     { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = th.cv; faddr = addr;
       kind = Event.Clflush }
   in
-  Store_buffer.push th.sb (Store_buffer.Flush f)
+  push t th (Store_buffer.Flush f)
 
 let clwb t ~tid ~addr =
   let th = thread t tid in
@@ -300,13 +303,13 @@ let clwb t ~tid ~addr =
     { Event.fseq = -1; ftid = tid; flclk = th.lclk; fcv = th.cv; faddr = addr;
       kind = Event.Clwb }
   in
-  Store_buffer.push th.sb (Store_buffer.Flush f)
+  push t th (Store_buffer.Flush f)
 
 let sfence t ~tid =
   let th = thread t tid in
   tick th;
   let k = { Event.ktid = tid; klclk = th.lclk; kcv = th.cv; kkind = Event.Sfence } in
-  Store_buffer.push th.sb (Store_buffer.Sfence k)
+  push t th (Store_buffer.Sfence k)
 
 let mfence t ~tid =
   let th = thread t tid in
@@ -359,24 +362,31 @@ let cut_of_label ~seed = function
 let buffered_stores t =
   Hashtbl.fold
     (fun _ th acc ->
-      acc
-      + List.length
-          (List.filter
-             (function Store_buffer.Store _ -> true | _ -> false)
-             (Store_buffer.entries th.sb)))
+      List.fold_left
+        (fun n -> function Store_buffer.Store _ -> n + 1 | Store_buffer.Flush _ | Sfence _ -> n)
+        acc (Store_buffer.entries th.sb))
     t.threads 0
 
+(* A line's stores commit in seq order, so its newest-first list is
+   seq-descending and the stores above the lower bound are a prefix of
+   it.  [Cut_random] draws uniformly from the bound followed by those
+   stores' seqs, oldest first. *)
 let line_cut t ~strategy line =
   let lb = Persistence.cut_lb t.pers line in
-  let later =
-    List.filter (fun (s : Event.store) -> s.Event.seq > lb) (Persistence.line_stores t.pers line)
-  in
+  let newest_first = Persistence.line_stores_newest_first t.pers line in
   match strategy with
-  | Cut_all -> List.fold_left (fun acc (s : Event.store) -> max acc s.Event.seq) lb later
+  | Cut_all -> (
+      match newest_first with (s : Event.store) :: _ -> max lb s.Event.seq | [] -> lb)
   | Cut_lowerbound -> lb
-  | Cut_random rng ->
-      let choices = lb :: List.map (fun (s : Event.store) -> s.Event.seq) later in
-      Rng.pick rng choices
+  | Cut_random rng -> (
+      let rec count_later n = function
+        | (s : Event.store) :: rest when s.Event.seq > lb -> count_later (n + 1) rest
+        | _ -> n
+      in
+      let later = count_later 0 newest_first in
+      match Rng.int rng (later + 1) with
+      | 0 -> lb
+      | i -> (List.nth newest_first (later - i)).Event.seq)
 
 let rec drain_everything t =
   drain_all_sb t;
@@ -399,14 +409,17 @@ let rec drain_everything t =
       drain_everything t
 
 let crash t ~strategy =
+  let lines = Persistence.lines t.pers in
   Metrics.incr m_crashes;
-  Metrics.observe h_crash_lines (List.length (Persistence.lines t.pers));
-  List.iter Observe.Coverage.line_materialized (Persistence.lines t.pers);
+  Metrics.observe h_crash_lines (List.length lines);
+  List.iter Observe.Coverage.line_materialized lines;
   let span_t0 =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
   (* Store-buffer contents are volatile and vanish: do NOT drain. *)
-  let image = Memimage.copy t.base in
+  (* Nothing writes to a crash state's image once it exists, so the
+     inherited image is still the pristine pre-execution state. *)
+  let image = Memimage.copy t.inherited.Crashstate.image in
   let origins : (Addr.t, Crashstate.origin) Hashtbl.t =
     Hashtbl.copy t.inherited.Crashstate.origins
   in
@@ -414,58 +427,36 @@ let crash t ~strategy =
     Hashtbl.copy t.inherited.Crashstate.cands
   in
   let cuts = Hashtbl.create 16 in
-  List.iter
-    (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line))
-    (Persistence.lines t.pers);
-  (* Replay persisted stores in global commit order to materialize the image. *)
-  let all_stores =
-    Persistence.lines t.pers
-    |> List.concat_map (fun line ->
-           let cut = Hashtbl.find cuts line in
-           Persistence.line_stores t.pers line
-           |> List.filter (fun (s : Event.store) ->
-                  (s.Event.seq <= cut || Persistence.is_durable_nt t.pers s)
-                  (* a straddling store is listed on both lines; attribute it
-                     to the line of its first byte to replay it once *)
-                  && Addr.line s.Event.addr = line))
-    |> List.sort (fun (a : Event.store) b -> compare a.Event.seq b.Event.seq)
-  in
-  List.iter
-    (fun (s : Event.store) ->
-      Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
-      let origin = { Crashstate.store = s; exec_id = t.exec_id } in
-      for i = 0 to s.Event.size - 1 do
-        Hashtbl.replace origins (s.Event.addr + i) origin
-      done)
-    all_stores;
-  (* Candidate sets: group committed stores by (addr, size). *)
-  let groups : (Addr.t * int, Event.store list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      List.iter
-        (fun (s : Event.store) ->
-          if Addr.line s.Event.addr = line then
-            let key = (s.Event.addr, s.Event.size) in
-            let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-            Hashtbl.replace groups key (s :: prev))
-        (Persistence.line_stores t.pers line))
-    (Persistence.lines t.pers);
-  Hashtbl.iter
-    (fun (addr, size) _ ->
-      let this_exec =
-        Persistence.candidates t.pers ~addr ~size
-        |> List.map (fun s -> { Crashstate.store = s; exec_id = t.exec_id })
-      in
-      let lb = Persistence.cut_lb t.pers (Addr.line addr) in
-      let has_durable_base =
-        Persistence.latest_at_or_below t.pers ~addr ~size ~cut:lb <> None
-      in
-      let merged =
-        if has_durable_base then this_exec
-        else Crashstate.find_candidates t.inherited ~addr ~size @ this_exec
-      in
-      Hashtbl.replace cands (addr, size) merged)
-    groups;
+  List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line)) lines;
+  let origin s = { Crashstate.store = s; exec_id = t.exec_id } in
+  (* Replay persisted stores in commit (= seq) order to materialize the
+     image; a store persists with the cut of the line of its first byte. *)
+  Persistence.iter_committed t.pers (fun (s : Event.store) ->
+      if s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
+         || Persistence.is_durable_nt t.pers s
+      then begin
+        Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
+        let o = origin s in
+        for i = 0 to s.Event.size - 1 do
+          Hashtbl.replace origins (s.Event.addr + i) o
+        done
+      end);
+  (* Candidate sets, once per (addr, size) of a committed store. *)
+  let seen = Hashtbl.create 64 in
+  Persistence.iter_committed t.pers (fun (s : Event.store) ->
+      let addr = s.Event.addr and size = s.Event.size in
+      let key = (addr lsl 4) lor size in
+      if not (Hashtbl.mem seen key) then begin
+        Hashtbl.add seen key ();
+        let this_exec, has_durable_base =
+          Persistence.candidates_map t.pers ~addr ~size origin
+        in
+        let merged =
+          if has_durable_base then this_exec
+          else Crashstate.find_candidates t.inherited ~addr ~size @ this_exec
+        in
+        Hashtbl.replace cands (addr, size) merged
+      end);
   let cs =
     {
       Crashstate.exec_id = t.exec_id;

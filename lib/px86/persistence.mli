@@ -23,18 +23,38 @@ val flush_line : t -> line:int -> seq:int -> unit
 (** Committed stores to [line], oldest (lowest seq) first. *)
 val line_stores : t -> int -> Event.store list
 
+(** Committed stores to [line], newest first: the line's own list,
+    returned without a copy. *)
+val line_stores_newest_first : t -> int -> Event.store list
+
 (** Durable lower bound for [line]: stores with [seq] below this are
     guaranteed persisted.  0 when the line was never flushed. *)
 val cut_lb : t -> int -> int
 
-(** All lines ever stored to. *)
+(** All lines ever stored to or flushed, ascending. *)
 val lines : t -> int list
+
+(** [iter_committed t f] applies [f] to every committed store once, in
+    commit order (a store straddling two lines is visited once). *)
+val iter_committed : t -> (Event.store -> unit) -> unit
+
+(** The newest committed store covering [[addr, addr+size)], if any —
+    where a load that misses the store buffer reads from. *)
+val newest_covering : t -> addr:Addr.t -> size:int -> Event.store option
 
 (** [candidates t ~addr ~size] lists the pre-crash stores a post-crash
     load of [[addr, addr+size)] could read from, oldest first: the newest
     covering store at or below the line's durable lower bound, plus every
     later covering store (any of them may or may not have persisted). *)
 val candidates : t -> addr:Addr.t -> size:int -> Event.store list
+
+(** [candidates_map t ~addr ~size f] is [candidates] with [f] applied to
+    each store, built in one pass, paired with whether the list starts at
+    a durable base (a covering store at or below the line's lower bound,
+    or individually durable); without one, older executions' stores stay
+    possible too. *)
+val candidates_map :
+  t -> addr:Addr.t -> size:int -> (Event.store -> 'a) -> 'a list * bool
 
 (** [latest_at_or_below t ~addr ~size ~cut] is the newest store covering
     the range with [seq <= cut] (or individually durable), if any. *)

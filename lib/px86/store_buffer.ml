@@ -3,13 +3,18 @@ type entry =
   | Flush of Event.flush
   | Sfence of Event.fence
 
-type t = { mutable items : entry list (* oldest first *) }
+type t = entry Ring.t
 
-let create () = { items = [] }
-let is_empty t = t.items = []
-let length t = List.length t.items
-let push t e = t.items <- t.items @ [ e ]
-let entries t = t.items
+(* Fills vacated ring slots; never visible through the interface. *)
+let vacant =
+  Sfence
+    { Event.ktid = -1; klclk = 0; kcv = Yashme_util.Clockvec.empty; kkind = Event.Sfence }
+
+let create () = Ring.create vacant
+let is_empty = Ring.is_empty
+let length = Ring.length
+let push = Ring.push
+let entries = Ring.to_list
 
 let kind_of_entry = function
   | Store _ -> Reorder.Write
@@ -33,37 +38,30 @@ let may_overtake ~older:d ~newer:e =
   not (Reorder.required ~earlier:(kind_of_entry d) ~later:(kind_of_entry e) ~same_line)
 
 let evictable t =
-  let rec scan i olders = function
-    | [] -> []
-    | e :: rest ->
-        let ok = List.for_all (fun d -> may_overtake ~older:d ~newer:e) olders in
-        let tail = scan (i + 1) (olders @ [ e ]) rest in
-        if ok then i :: tail else tail
+  let overtakes_all i =
+    let e = Ring.get t i in
+    let rec ok j = j >= i || (may_overtake ~older:(Ring.get t j) ~newer:e && ok (j + 1)) in
+    ok 0
   in
-  scan 0 [] t.items
+  (* Newest first, so the list comes out in ascending index order. *)
+  let rec scan i acc =
+    if i < 0 then acc else scan (i - 1) (if overtakes_all i then i :: acc else acc)
+  in
+  scan (Ring.length t - 1) []
 
-let take t i =
-  let rec split j acc = function
-    | [] -> invalid_arg "Store_buffer.take: index out of range"
-    | e :: rest ->
-        if j = i then begin
-          t.items <- List.rev_append acc rest;
-          e
-        end
-        else split (j + 1) (e :: acc) rest
-  in
-  split 0 [] t.items
+let take = Ring.remove
 
 type forwarding = Covered of Event.store | Partial | Miss
 
-let forward t ~addr ~size =
-  (* Newest matching store wins; scan newest-first. *)
-  let rec scan = function
-    | [] -> Miss
-    | Store s :: rest ->
+(* Newest matching store wins; scan newest-first. *)
+let rec forward_from t addr size i =
+  if i < 0 then Miss
+  else
+    match Ring.get t i with
+    | Store s ->
         if Event.store_covers s addr size then Covered s
         else if Event.store_overlaps s addr size then Partial
-        else scan rest
-    | (Flush _ | Sfence _) :: rest -> scan rest
-  in
-  scan (List.rev t.items)
+        else forward_from t addr size (i - 1)
+    | Flush _ | Sfence _ -> forward_from t addr size (i - 1)
+
+let forward t ~addr ~size = forward_from t addr size (Ring.length t - 1)

@@ -16,6 +16,9 @@ type t
 val create : unit -> t
 val is_empty : t -> bool
 val length : t -> int
+
+(** Append at the newest end: O(1) amortized, allocating only when the
+    underlying ring ({!Ring}) doubles. *)
 val push : t -> entry -> unit
 
 (** Entries currently in the buffer, oldest first. *)

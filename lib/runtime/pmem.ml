@@ -35,9 +35,14 @@ type _ Effect.t +=
   | Validating_e : bool -> unit Effect.t
   | My_tid_e : int Effect.t
 
+(* Constant accesses: an atomic op must not allocate its [Atomic o]. *)
 let access_of = function
   | None -> Px86.Access.Plain
-  | Some o -> Px86.Access.Atomic o
+  | Some Px86.Access.Relaxed -> Px86.Access.Atomic Relaxed
+  | Some Acquire -> Px86.Access.Atomic Acquire
+  | Some Release -> Px86.Access.Atomic Release
+  | Some Acq_rel -> Px86.Access.Atomic Acq_rel
+  | Some Seq_cst -> Px86.Access.Atomic Seq_cst
 
 let store ?label ?(size = 8) ?atomic ?(nt = false) addr value =
   Effect.perform

@@ -17,13 +17,14 @@ val empty : t
 val get : t -> int -> int
 
 (** [set cv tid clk] is [cv] with the component for [tid] replaced by
-    [clk].  Raises [Invalid_argument] if [clk < 0]. *)
+    [clk].  Raises [Invalid_argument] if [clk < 0] or [tid < 0]. *)
 val set : t -> int -> int -> t
 
 (** [tick cv tid] increments the component for [tid] by one. *)
 val tick : t -> int -> t
 
-(** [join a b] is the component-wise maximum of [a] and [b]. *)
+(** [join a b] is the component-wise maximum of [a] and [b]; when one
+    side already dominates, that side itself (no allocation). *)
 val join : t -> t -> t
 
 (** [leq a b] holds when [a] happens-before-or-equals [b] component-wise. *)

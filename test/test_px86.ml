@@ -220,8 +220,9 @@ let test_fb_drain_order () =
   Flush_buffer.add fb (mk_flush ~addr:64 Event.Clwb);
   Alcotest.(check (list int)) "pending oldest first" [ 0; 64 ]
     (List.map (fun (f : Event.flush) -> f.Event.faddr) (Flush_buffer.pending fb));
-  let drained = Flush_buffer.drain fb in
-  check_int "drained all" 2 (List.length drained);
+  let drained = ref [] in
+  Flush_buffer.drain fb (fun (f : Event.flush) -> drained := f.Event.faddr :: !drained);
+  Alcotest.(check (list int)) "drained all, oldest first" [ 0; 64 ] (List.rev !drained);
   check "empty after drain" true (Flush_buffer.is_empty fb)
 
 (* ------------------------------------------------------------------ *)
@@ -651,6 +652,415 @@ let prop_flushed_survives =
           Memimage.read cs.Crashstate.image ~addr:(64 * i) ~size:8 = Int64.of_int i)
         (List.init n (fun i -> i + 1)))
 
+(* ------------------------------------------------------------------ *)
+(* Differential tests against the replaced implementations              *)
+
+(* Reference models: the list-based store and flush buffers, the
+   double-reverse committed-read search and the sort-based crash
+   materialization that the allocation-lean versions replaced.  They are
+   kept here, test-only, as oracles: every swapped structure must agree
+   with its reference on random operation sequences. *)
+module Ref_store_buffer = struct
+  type t = { mutable items : Store_buffer.entry list (* oldest first *) }
+
+  let create () = { items = [] }
+  let push t e = t.items <- t.items @ [ e ]
+
+  let kind_of_entry = function
+    | Store_buffer.Store _ -> Reorder.Write
+    | Store_buffer.Flush { kind = Event.Clflush; _ } -> Reorder.Clflush_k
+    | Store_buffer.Flush { kind = Event.Clwb; _ } -> Reorder.Clflushopt
+    | Store_buffer.Sfence _ -> Reorder.Sfence_k
+
+  let line_of_entry = function
+    | Store_buffer.Store s -> Some (Addr.line s.Event.addr)
+    | Store_buffer.Flush f -> Some (Addr.line f.Event.faddr)
+    | Store_buffer.Sfence _ -> None
+
+  let may_overtake ~older:d ~newer:e =
+    let same_line =
+      match line_of_entry d, line_of_entry e with Some a, Some b -> a = b | _ -> false
+    in
+    not (Reorder.required ~earlier:(kind_of_entry d) ~later:(kind_of_entry e) ~same_line)
+
+  let evictable t =
+    let rec scan i olders = function
+      | [] -> []
+      | e :: rest ->
+          let ok = List.for_all (fun d -> may_overtake ~older:d ~newer:e) olders in
+          let tail = scan (i + 1) (olders @ [ e ]) rest in
+          if ok then i :: tail else tail
+    in
+    scan 0 [] t.items
+
+  let take t i =
+    let rec split j acc = function
+      | [] -> invalid_arg "Ref_store_buffer.take"
+      | e :: rest ->
+          if j = i then begin
+            t.items <- List.rev_append acc rest;
+            e
+          end
+          else split (j + 1) (e :: acc) rest
+    in
+    split 0 [] t.items
+
+  let forward t ~addr ~size =
+    let rec scan = function
+      | [] -> Store_buffer.Miss
+      | Store_buffer.Store s :: rest ->
+          if Event.store_covers s addr size then Store_buffer.Covered s
+          else if Event.store_overlaps s addr size then Store_buffer.Partial
+          else scan rest
+      | (Store_buffer.Flush _ | Store_buffer.Sfence _) :: rest -> scan rest
+    in
+    scan (List.rev t.items)
+end
+
+let ref_newest_covering p ~addr ~size =
+  let rec newest_covering = function
+    | [] -> None
+    | (s : Event.store) :: rest ->
+        if Event.store_covers s addr size then Some s else newest_covering rest
+  in
+  newest_covering (List.rev (Persistence.line_stores p (Addr.line addr)))
+
+let ref_covering_stores p ~addr ~size =
+  List.filter
+    (fun s -> Event.store_covers s addr size)
+    (List.rev (Persistence.line_stores p (Addr.line addr)))
+
+let ref_latest_at_or_below p ~addr ~size ~cut =
+  List.find_opt
+    (fun (s : Event.store) -> s.Event.seq <= cut || Persistence.is_durable_nt p s)
+    (ref_covering_stores p ~addr ~size)
+
+let ref_candidates p ~addr ~size =
+  let lb = Persistence.cut_lb p (Addr.line addr) in
+  let durable (s : Event.store) = s.Event.seq <= lb || Persistence.is_durable_nt p s in
+  let rec split acc = function
+    | [] -> acc
+    | (s : Event.store) :: rest -> if durable s then s :: acc else split (s :: acc) rest
+  in
+  split [] (ref_covering_stores p ~addr ~size)
+
+let ref_line_cut p ~strategy line =
+  let lb = Persistence.cut_lb p line in
+  let later =
+    List.filter (fun (s : Event.store) -> s.Event.seq > lb) (Persistence.line_stores p line)
+  in
+  match strategy with
+  | Machine.Cut_all -> List.fold_left (fun acc (s : Event.store) -> max acc s.Event.seq) lb later
+  | Machine.Cut_lowerbound -> lb
+  | Machine.Cut_random rng ->
+      Rng.pick rng (lb :: List.map (fun (s : Event.store) -> s.Event.seq) later)
+
+(* The crash materialization as it was: cuts per line, a global sort of
+   the persisted stores, and one candidate search per (addr, size). *)
+let ref_crash m ~strategy =
+  let p = Machine.persistence m and inherited = Machine.inherited m in
+  let exec_id = Machine.exec_id m in
+  let image = Memimage.copy inherited.Crashstate.image in
+  let origins = Hashtbl.copy inherited.Crashstate.origins in
+  let cands = Hashtbl.copy inherited.Crashstate.cands in
+  let cuts = Hashtbl.create 16 in
+  List.iter
+    (fun line -> Hashtbl.replace cuts line (ref_line_cut p ~strategy line))
+    (Persistence.lines p);
+  Persistence.lines p
+  |> List.concat_map (fun line ->
+         let cut = Hashtbl.find cuts line in
+         Persistence.line_stores p line
+         |> List.filter (fun (s : Event.store) ->
+                (s.Event.seq <= cut || Persistence.is_durable_nt p s)
+                && Addr.line s.Event.addr = line))
+  |> List.sort (fun (a : Event.store) b -> compare a.Event.seq b.Event.seq)
+  |> List.iter (fun (s : Event.store) ->
+         Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
+         let origin = { Crashstate.store = s; exec_id } in
+         for i = 0 to s.Event.size - 1 do
+           Hashtbl.replace origins (s.Event.addr + i) origin
+         done);
+  let groups = Hashtbl.create 64 in
+  List.iter
+    (fun line ->
+      List.iter
+        (fun (s : Event.store) ->
+          if Addr.line s.Event.addr = line then
+            Hashtbl.replace groups (s.Event.addr, s.Event.size) ())
+        (Persistence.line_stores p line))
+    (Persistence.lines p);
+  Hashtbl.iter
+    (fun (addr, size) () ->
+      let this_exec =
+        List.map
+          (fun s -> { Crashstate.store = s; exec_id })
+          (ref_candidates p ~addr ~size)
+      in
+      let lb = Persistence.cut_lb p (Addr.line addr) in
+      let merged =
+        if ref_latest_at_or_below p ~addr ~size ~cut:lb <> None then this_exec
+        else Crashstate.find_candidates inherited ~addr ~size @ this_exec
+      in
+      Hashtbl.replace cands (addr, size) merged)
+    groups;
+  (image, origins, cands)
+
+(* Structural views for comparison; stores compare by identity. *)
+let same_origin (a : Crashstate.origin) (b : Crashstate.origin) =
+  a.Crashstate.store == b.Crashstate.store && a.Crashstate.exec_id = b.Crashstate.exec_id
+
+let sorted_bindings tbl =
+  List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+
+let same_crash (cs : Crashstate.t) (image, origins, cands) =
+  let img = cs.Crashstate.image in
+  let bytes_equal =
+    Memimage.footprint img = Memimage.footprint image
+    && Memimage.extent img = Memimage.extent image
+    && List.for_all
+         (fun a -> Memimage.read img ~addr:a ~size:1 = Memimage.read image ~addr:a ~size:1)
+         (List.init (Memimage.footprint img) Fun.id)
+  in
+  let same_tbl same a b =
+    let a = sorted_bindings a and b = sorted_bindings b in
+    List.length a = List.length b
+    && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && same va vb) a b
+  in
+  bytes_equal
+  && same_tbl same_origin cs.Crashstate.origins origins
+  && same_tbl
+       (fun a b -> List.length a = List.length b && List.for_all2 same_origin a b)
+       cs.Crashstate.cands cands
+
+(* Random machine programs: a few threads, stores of every size
+   (including line-straddling and non-temporal ones), flushes, fences
+   and CASes over three cache lines, under both drain policies. *)
+type minstr =
+  | I_store of int * int * int * bool  (** tid, addr, size, nt *)
+  | I_clwb of int * int
+  | I_clflush of int * int
+  | I_sfence of int
+  | I_mfence of int
+  | I_cas of int * int
+  | I_bg
+
+let minstr_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 6,
+          map
+            (fun (tid, (addr, size), nt) -> I_store (tid, addr, size, nt))
+            (triple (int_bound 2)
+               (pair (int_bound 180) (oneofl [ 1; 2; 4; 8 ]))
+               (frequency [ (5, return false); (1, return true) ])) );
+        (2, map2 (fun tid a -> I_clwb (tid, a)) (int_bound 2) (int_bound 180));
+        (1, map2 (fun tid a -> I_clflush (tid, a)) (int_bound 2) (int_bound 180));
+        (2, map (fun tid -> I_sfence tid) (int_bound 2));
+        (1, map (fun tid -> I_mfence tid) (int_bound 2));
+        (1, map2 (fun tid slot -> I_cas (tid, slot * 8)) (int_bound 2) (int_bound 22));
+        (3, return I_bg);
+      ])
+
+let run_minstrs m prog =
+  List.iteri
+    (fun i ins ->
+      match ins with
+      | I_store (tid, addr, size, nt) ->
+          Machine.store ~nt m ~tid ~addr ~size ~value:(Int64.of_int (i + 1))
+            ~access:Access.Plain ~label:None
+      | I_clwb (tid, addr) -> Machine.clwb m ~tid ~addr
+      | I_clflush (tid, addr) -> Machine.clflush m ~tid ~addr
+      | I_sfence tid -> Machine.sfence m ~tid
+      | I_mfence tid -> Machine.mfence m ~tid
+      | I_cas (tid, addr) ->
+          ignore
+            (Machine.cas m ~tid ~addr ~size:8 ~expected:0L ~desired:(Int64.of_int (i + 1))
+               ~label:None)
+      | I_bg -> Machine.background m)
+    prog
+
+let crash_case_gen =
+  QCheck.Gen.(
+    quad
+      (list_size (int_range 0 25) minstr_gen)
+      (list_size (int_range 1 40) minstr_gen)
+      (pair (int_bound 3) (int_bound 2))
+      (pair (int_bound 10_000) bool))
+
+let crash_case_arb =
+  QCheck.make
+    ~print:(fun (pre, post, (policy, strat), (seed, inherits)) ->
+      Printf.sprintf "pre=%d post=%d policy=%d strategy=%d seed=%d inherits=%b"
+        (List.length pre) (List.length post) policy strat seed inherits)
+    crash_case_gen
+
+let prop_crash_matches_reference =
+  QCheck.Test.make ~name:"crash materialization matches the reference" ~count:300
+    crash_case_arb (fun (pre, post, (policy, strat), (seed, inherits)) ->
+      let variant =
+        List.nth [ Variant.strict_tso; Variant.epoch; Variant.relaxed; Variant.fence_nop ] policy
+      in
+      let sb_policy = if policy mod 2 = 0 then Machine.Eager else Machine.Random_drain 0.5 in
+      let mk ?inherited ~exec_id () =
+        Machine.create ?inherited ~exec_id
+          { Machine.sb_policy; variant; rng = Rng.create seed; observer = Observer.nop }
+      in
+      let strategy () =
+        match strat with
+        | 0 -> Machine.Cut_all
+        | 1 -> Machine.Cut_lowerbound
+        | _ -> Machine.Cut_random (Rng.create (seed + 1))
+      in
+      let inherited =
+        if inherits then begin
+          let m0 = mk ~exec_id:1 () in
+          run_minstrs m0 pre;
+          Some (Machine.crash m0 ~strategy:(strategy ()))
+        end
+        else None
+      in
+      let m = mk ?inherited ~exec_id:2 () in
+      run_minstrs m post;
+      let s1 = strategy () and s2 = strategy () in
+      let cs = Machine.crash m ~strategy:s1 in
+      let expected = ref_crash m ~strategy:s2 in
+      (* Cut_random: both sides must also have made the same draws. *)
+      let same_draws =
+        match s1, s2 with
+        | Machine.Cut_random a, Machine.Cut_random b -> Rng.int a 1_000_000 = Rng.int b 1_000_000
+        | _ -> true
+      in
+      same_crash cs expected && same_draws)
+
+(* Committed-store searches on the persistence domain. *)
+let prop_newest_covering_matches_reference =
+  QCheck.Test.make ~name:"persistence searches match the reference" ~count:300
+    QCheck.(
+      pair
+        (make
+           Gen.(
+             list_size (int_range 0 30)
+               (triple (int_bound 180) (oneofl [ 1; 2; 4; 8 ]) (int_bound 4))))
+        (make Gen.(list_size (int_range 1 20) (pair (int_bound 180) (oneofl [ 1; 2; 4; 8 ])))))
+    (fun (stores, queries) ->
+      let p = Persistence.create () in
+      List.iteri
+        (fun i (addr, size, action) ->
+          let s = { (mk_store ~addr ~size ()) with Event.seq = i + 1 } in
+          Persistence.commit_store p s;
+          match action with
+          | 0 -> Persistence.flush_line p ~line:(Addr.line addr) ~seq:(i + 1)
+          | 1 -> Persistence.mark_durable p s
+          | _ -> ())
+        stores;
+      List.for_all
+        (fun (addr, size) ->
+          let cut = List.length stores / 2 in
+          let same_opt a b =
+            match a, b with Some x, Some y -> x == y | None, None -> true | _ -> false
+          in
+          same_opt (Persistence.newest_covering p ~addr ~size) (ref_newest_covering p ~addr ~size)
+          && same_opt
+               (Persistence.latest_at_or_below p ~addr ~size ~cut)
+               (ref_latest_at_or_below p ~addr ~size ~cut)
+          && (let a = Persistence.candidates p ~addr ~size
+              and b = ref_candidates p ~addr ~size in
+              List.length a = List.length b && List.for_all2 ( == ) a b))
+        queries)
+
+type sb_op = Sb_push of Store_buffer.entry | Sb_take of int | Sb_forward of int * int
+
+let sb_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun slot -> Sb_push (entry_of (`Store (slot * 8)))) (int_bound 15));
+        (2, map (fun slot -> Sb_push (entry_of (`Clwb (slot * 32)))) (int_bound 3));
+        (2, map (fun slot -> Sb_push (entry_of (`Clflush (slot * 32)))) (int_bound 3));
+        (1, return (Sb_push (entry_of `Sfence)));
+        (4, map (fun k -> Sb_take k) (int_bound 1000));
+        (3, map2 (fun a size -> Sb_forward (a, size)) (int_bound 130) (oneofl [ 1; 2; 4; 8 ]));
+      ])
+
+let prop_sb_matches_reference =
+  QCheck.Test.make ~name:"ring store buffer matches the list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 80) sb_op_gen))
+    (fun ops ->
+      let sb = Store_buffer.create () and model = Ref_store_buffer.create () in
+      let same_entries () =
+        let a = Store_buffer.entries sb and b = model.Ref_store_buffer.items in
+        List.length a = List.length b
+        && List.for_all2 ( == ) a b
+        && Store_buffer.length sb = List.length b
+        && Store_buffer.is_empty sb = (b = [])
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Sb_push e ->
+              Store_buffer.push sb e;
+              Ref_store_buffer.push model e;
+              true
+          | Sb_take k -> (
+              let ev = Store_buffer.evictable sb in
+              ev = Ref_store_buffer.evictable model
+              &&
+              match ev with
+              | [] -> true
+              | _ ->
+                  let i = List.nth ev (k mod List.length ev) in
+                  Store_buffer.take sb i == Ref_store_buffer.take model i)
+          | Sb_forward (addr, size) -> (
+              match
+                Store_buffer.forward sb ~addr ~size, Ref_store_buffer.forward model ~addr ~size
+              with
+              | Store_buffer.Covered a, Store_buffer.Covered b -> a == b
+              | Store_buffer.Partial, Store_buffer.Partial | Store_buffer.Miss, Store_buffer.Miss
+                ->
+                  true
+              | _ -> false))
+          && same_entries ())
+        ops
+      &&
+      (* Drain oldest first, as the machine does. *)
+      let rec drain () =
+        Store_buffer.is_empty sb
+        || (Store_buffer.take sb 0 == Ref_store_buffer.take model 0 && drain ())
+      in
+      drain () && model.Ref_store_buffer.items = [])
+
+let prop_fb_matches_reference =
+  QCheck.Test.make ~name:"ring flush buffer matches the list model" ~count:300
+    (QCheck.make
+       ~print:(fun ops -> Printf.sprintf "%d ops" (List.length ops))
+       QCheck.Gen.(list_size (int_range 0 80) (int_bound 9)))
+    (fun ops ->
+      let fb = Flush_buffer.create () and model = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | 0 | 1 ->
+              let got = ref [] in
+              Flush_buffer.drain fb (fun f -> got := f :: !got);
+              let want = !model in
+              model := [];
+              List.length !got = List.length want && List.for_all2 ( == ) (List.rev !got) want
+          | k ->
+              let f = mk_flush ~addr:(k * 64) Event.Clwb in
+              Flush_buffer.add fb f;
+              model := !model @ [ f ];
+              true)
+          &&
+          let pending = Flush_buffer.pending fb in
+          List.length pending = List.length !model
+          && List.for_all2 ( == ) pending !model
+          && Flush_buffer.is_empty fb = (!model = []))
+        ops)
+
 let () =
   Alcotest.run "px86"
     [
@@ -727,5 +1137,13 @@ let () =
             prop_flushed_survives;
             prop_sb_legal_orders;
             prop_sb_forward_newest;
+          ] );
+      ( "differential",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_sb_matches_reference;
+            prop_fb_matches_reference;
+            prop_newest_covering_matches_reference;
+            prop_crash_matches_reference;
           ] );
     ]

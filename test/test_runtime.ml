@@ -266,6 +266,95 @@ let test_deterministic_replay () =
   in
   check "same seed, same crash" true (fingerprint () = fingerprint ())
 
+
+(* ------------------------------------------------------------------ *)
+(* Allocation gate                                                      *)
+
+(* Minor words allocated by [f] on this domain.  One domain, telemetry
+   off: the count is a deterministic function of the code, so the
+   ceilings below can sit close to the measured values. *)
+let minor_words_of f =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+(* Marginal minor words per repetition of [body]: a run of [2n]
+   repetitions minus a run of [n], divided by [n], so the fixed cost of a
+   run (thread start, shutdown) cancels out. *)
+let marginal_words ?sb_policy ~setup body () =
+  let n = 500 in
+  let words reps =
+    minor_words_of (fun () ->
+        ignore (Executor.run ?sb_policy ~exec_id:0 (fun () -> body (setup ()) reps)))
+  in
+  (words (2 * n) -. words n) /. float_of_int n
+
+let cell () =
+  let a = Pmem.alloc ~align:64 8 in
+  Pmem.store a 1L;
+  a
+
+let repeat op a reps =
+  for _ = 1 to reps do
+    op a
+  done
+
+(* The per-op-kind cases, as (name, ceiling, measure).  [store] runs
+   with a store buffer that never drains until shutdown and
+   [clwb+sfence] is [reps] clwbs then one sfence, so both also price an
+   append to a deep buffer: an append that copies the buffer (quadratic
+   in its length) blows the ceiling.  Each ceiling sits about 25% above
+   the value measured with OCaml 5.1.1 (load 31, store 80, clwb 38,
+   yield 12, CCEH 67.3 words per op); EXPERIMENTS.md, "Hot-path
+   allocation", has the history. *)
+let alloc_cases =
+  [
+    ( "load",
+      39.,
+      fun () -> marginal_words ~setup:cell (repeat (fun a -> ignore (Pmem.load a))) () );
+    ( "store",
+      100.,
+      fun () ->
+        marginal_words ~sb_policy:(Px86.Machine.Random_drain 0.0) ~setup:cell
+          (repeat (fun a -> Pmem.store a 2L))
+          () );
+    ( "clwb+sfence",
+      48.,
+      fun () ->
+        marginal_words ~setup:cell
+          (fun a reps ->
+            repeat Pmem.clwb a reps;
+            Pmem.sfence ())
+          () );
+    ("yield", 15., fun () -> marginal_words ~setup:cell (repeat (fun _ -> Pmem.yield ())) ());
+    ( "CCEH model check",
+      84.,
+      fun () ->
+        let ops = ref 0 in
+        let words =
+          minor_words_of (fun () ->
+              let o =
+                Pm_harness.Runner.model_check_outcome ~jobs:1
+                  (Pm_benchmarks.Registry.find "CCEH")
+              in
+              List.iter
+                (fun (_, r, _) ->
+                  match r with
+                  | Pm_harness.Engine.Completed c -> ops := !ops + c.Pm_harness.Engine.ops
+                  | Pm_harness.Engine.Faulted f -> ops := !ops + f.Pm_harness.Engine.f_ops)
+                o.Pm_harness.Runner.o_pairs)
+        in
+        words /. float_of_int !ops );
+  ]
+
+let test_alloc_per_op (name, ceiling, measure) () =
+  let w = measure () in
+  Printf.printf "%s: %.2f minor words/op (ceiling %.0f)\n" name w ceiling;
+  if w > ceiling then
+    Alcotest.failf "%s allocates %.2f minor words per op, above the ceiling %.0f" name w
+      ceiling
+
 let () =
   Alcotest.run "runtime"
     [
@@ -302,4 +391,8 @@ let () =
           Alcotest.test_case "validating nesting" `Quick test_validating_nesting;
           Alcotest.test_case "deterministic replay" `Quick test_deterministic_replay;
         ] );
+      ( "alloc-gate",
+        List.map
+          (fun ((name, _, _) as c) -> Alcotest.test_case name `Quick (test_alloc_per_op c))
+          alloc_cases );
     ]

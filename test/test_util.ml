@@ -99,6 +99,61 @@ let prop_tick_increases =
     (QCheck.pair cv_arb QCheck.(int_bound 4)) (fun (a, tid) ->
       Clockvec.lt a (Clockvec.tick a tid))
 
+(* Differential: the dense-array clock vector against the Int-map
+   representation it replaced, kept here as a test-only reference. *)
+module Ref_clockvec = struct
+  module Imap = Map.Make (Int)
+
+  let get cv tid = match Imap.find_opt tid cv with Some c -> c | None -> 0
+  let set cv tid clk = if clk = 0 then Imap.remove tid cv else Imap.add tid clk cv
+  let join a b = Imap.union (fun _ x y -> Some (max x y)) a b
+  let leq a b = Imap.for_all (fun tid c -> c <= get b tid) a
+  let equal a b = Imap.equal Int.equal a b
+end
+
+type cv_op = Cv_set of int * int * int | Cv_tick of int * int | Cv_join of int * int
+
+let prop_matches_map_model =
+  QCheck.Test.make ~name:"dense clock vector matches the map model" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         list_size (int_bound 40)
+           (frequency
+              [
+                ( 3,
+                  map3
+                    (fun i tid clk -> Cv_set (i, tid, clk))
+                    (int_bound 3) (int_bound 5) (int_bound 6) );
+                (3, map2 (fun i tid -> Cv_tick (i, tid)) (int_bound 3) (int_bound 5));
+                (2, map2 (fun i j -> Cv_join (i, j)) (int_bound 3) (int_bound 3));
+              ])))
+    (fun ops ->
+      let dense = Array.make 4 Clockvec.empty and model = Array.make 4 Ref_clockvec.Imap.empty in
+      List.iter
+        (function
+          | Cv_set (i, tid, clk) ->
+              dense.(i) <- Clockvec.set dense.(i) tid clk;
+              model.(i) <- Ref_clockvec.set model.(i) tid clk
+          | Cv_tick (i, tid) ->
+              dense.(i) <- Clockvec.tick dense.(i) tid;
+              model.(i) <- Ref_clockvec.set model.(i) tid (Ref_clockvec.get model.(i) tid + 1)
+          | Cv_join (i, j) ->
+              dense.(i) <- Clockvec.join dense.(i) dense.(j);
+              model.(i) <- Ref_clockvec.join model.(i) model.(j))
+        ops;
+      let pairs = List.concat_map (fun i -> List.init 4 (fun j -> (i, j))) [ 0; 1; 2; 3 ] in
+      Array.for_all2
+        (fun d m -> Clockvec.to_list d = Ref_clockvec.Imap.bindings m)
+        dense model
+      && List.for_all
+           (fun (i, j) ->
+             Clockvec.leq dense.(i) dense.(j) = Ref_clockvec.leq model.(i) model.(j)
+             && Clockvec.equal dense.(i) dense.(j) = Ref_clockvec.equal model.(i) model.(j)
+             && List.for_all
+                  (fun tid -> Clockvec.get dense.(i) tid = Ref_clockvec.get model.(i) tid)
+                  [ 0; 1; 2; 3; 4; 5; 6 ])
+           pairs)
+
 (* ------------------------------------------------------------------ *)
 (* Rng                                                                  *)
 
@@ -198,6 +253,7 @@ let () =
             prop_join_upper_bound;
             prop_leq_antisymmetric;
             prop_tick_increases;
+            prop_matches_map_model;
           ] );
       ( "rng",
         [
