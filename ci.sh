@@ -136,6 +136,26 @@ grep -v '^corpus: ' "$suite_dir/report1.txt" | cmp - CHECK_ALL_golden.txt || {
 }
 rm -rf "$suite_dir"
 
+echo "== recovery-grid byte identity (check-all --mode mc-recovery vs golden)"
+# Two-crash chains (setup -> pre -> post -> recovery) are where crash
+# states inherit deepest; pin their report against the committed golden
+# and across job counts.
+rec_dir=$(mktemp -d /tmp/yashme-ci-recovery.XXXXXX)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun"; rm -rf "$rec_dir"' EXIT
+for j in 1 2; do
+  dune exec bin/yashme_cli.exe -- check-all --mode mc-recovery --jobs $j \
+    > "$rec_dir/report$j.txt"
+done
+cmp "$rec_dir/report1.txt" CHECK_ALL_RECOVERY_golden.txt || {
+  echo "ci: check-all --mode mc-recovery differs from CHECK_ALL_RECOVERY_golden.txt" >&2
+  exit 1
+}
+cmp "$rec_dir/report1.txt" "$rec_dir/report2.txt" || {
+  echo "ci: check-all --mode mc-recovery differs between --jobs 1 and --jobs 2" >&2
+  exit 1
+}
+rm -rf "$rec_dir"
+
 echo "== litmus-matrix smoke (variants x litmus vs committed golden)"
 # The matrix pins every built-in persistency-model variant's divergence
 # from strict-tso; any semantic drift fails against the committed table.
