@@ -174,7 +174,7 @@ let run_scenario (s : Scenario.t) =
     let inherited =
       match s.setup with
       | No_setup -> None
-      | Snapshot cs -> Some (Px86.Crashstate.copy cs)
+      | Snapshot cs -> Some cs
       | Run_setup fn ->
           (* Mirror [run_setup]: default round-robin scheduling, no
              detector — the setup phase is trusted. *)
@@ -188,14 +188,10 @@ let run_scenario (s : Scenario.t) =
           Some r.Executor.state
     in
     (* The oracle replays the whole chain from the same durable base
-       under [Cut_lowerbound], so duplicate the hydrated setup image
-       before the pre phase consumes it (copy cost paid only when an
-       oracle context is attached). *)
+       under [Cut_lowerbound]; states are immutable, so the pre phase
+       leaves that base as it found it. *)
     let oracle_base =
-      match (s.oracle, inherited) with
-      | Some _, Some st -> Some (Some (Px86.Crashstate.copy st))
-      | Some _, None -> Some None
-      | None, _ -> None
+      match s.oracle with Some _ -> Some inherited | None -> None
     in
     phase := Finding.Pre_crash;
     let pre_result =

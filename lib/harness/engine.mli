@@ -8,9 +8,8 @@
     + materializes the whole scenario list up front (the strategy
       drivers in {!Runner} enumerate crash plans eagerly),
     + memoizes the trusted setup phase once per program
-      ({!materialize_setup}) — workers re-hydrate it with
-      {!Px86.Crashstate.copy} so no two scenarios share mutable durable
-      state,
+      ({!materialize_setup}) — crash states are immutable, so every
+      scenario on every domain shares that one snapshot,
     + executes scenarios on [jobs] domains pulling from a shared work
       queue, and
     + merges per-scenario results {e in submission order}, which makes

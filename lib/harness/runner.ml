@@ -37,7 +37,7 @@ let count_points ~options ~setup (p : Program.t) =
   let inherited =
     match setup with
     | Scenario.No_setup -> None
-    | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
+    | Scenario.Snapshot cs -> Some cs
     | Scenario.Run_setup _ -> run_setup options p
   in
   let r =
@@ -111,7 +111,7 @@ let prepare_oracle ?(options = default_options) ?invariants (p : Program.t) =
       let hydrate () =
         match setup with
         | Scenario.No_setup -> None
-        | Scenario.Snapshot cs -> Some (Px86.Crashstate.copy cs)
+        | Scenario.Snapshot cs -> Some cs
         | Scenario.Run_setup _ -> run_setup options p
       in
       let observe_on st =

@@ -53,8 +53,8 @@ val options_randomized : options -> bool
     - [No_setup]: the program has no setup phase; boot from pristine
       memory.
     - [Snapshot cs]: the memoized setup state, computed once per
-      program.  Workers take a {!Px86.Crashstate.copy} before running,
-      so a scenario can never mutate the shared snapshot.  Only valid
+      program and shared by every scenario: crash states are
+      immutable, so a scenario can never mutate it.  Only valid
       when the setup phase is seed-independent (eager store-buffer
       drain); {!Engine.materialize_setup} decides.
     - [Run_setup fn]: re-execute the setup phase with the scenario's

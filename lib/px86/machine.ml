@@ -57,25 +57,36 @@ type t = {
   pers : Persistence.t;
   mutable seq : int;  (* global cache-commit order counter *)
   mutable sb_entries : int;  (* entries buffered across all store buffers *)
+  crash_reads : (int, read_source) Hashtbl.t;
+      (* memoized inherited lookups, keyed by [(addr lsl 4) lor size] *)
 }
 
-type read_source =
+and read_source =
   | From_buffer of Event.store
   | From_cache of Event.store
   | From_crash of Crashstate.origin * Crashstate.origin list
   | From_init
 
+(* States are immutable, so every fresh machine can share one boot
+   state, across domains too. *)
+let boot = Crashstate.boot ()
+
 let create ?inherited ~exec_id cfg =
-  let inherited = match inherited with Some c -> c | None -> Crashstate.boot () in
+  let inherited, cache =
+    match inherited with
+    | Some c -> (c, Crashstate.hydrate c)
+    | None -> (boot, Memimage.create ())
+  in
   {
     cfg;
     exec_id;
     inherited;
     threads = Hashtbl.create 8;
-    cache = Memimage.copy inherited.Crashstate.image;
+    cache;
     pers = Persistence.create ();
     seq = 0;
     sb_entries = 0;
+    crash_reads = Hashtbl.create 16;
   }
 
 let exec_id t = t.exec_id
@@ -250,17 +261,31 @@ let store ?(nt = false) t ~tid ~addr ~size ~value ~access ~label =
   in
   push t th (Store_buffer.Store s)
 
+(* Where a load the cache cannot answer reads from in the inherited
+   state.  The state never changes, so each (addr, size) walks its
+   layers once per machine. *)
+let crash_read t ~addr ~size =
+  if t.inherited.Crashstate.depth = 0 then From_init
+  else
+    let key = (addr lsl 4) lor size in
+    match Hashtbl.find t.crash_reads key with
+    | source -> source
+    | exception Not_found ->
+        let source =
+          match Crashstate.find_origin t.inherited ~addr ~size with
+          | Some (origin, _torn) ->
+              From_crash (origin, Crashstate.find_candidates t.inherited ~addr ~size)
+          | None -> From_init
+        in
+        Hashtbl.add t.crash_reads key source;
+        source
+
 let cache_read t th ~addr ~size ~access =
   let value = Memimage.read t.cache ~addr ~size in
   let source =
     match Persistence.newest_covering t.pers ~addr ~size with
     | Some s -> From_cache s
-    | None -> (
-        match Crashstate.find_origin t.inherited ~addr ~size with
-        | Some (origin, _torn) ->
-            let cands = Crashstate.find_candidates t.inherited ~addr ~size in
-            From_crash (origin, cands)
-        | None -> From_init)
+    | None -> crash_read t ~addr ~size
   in
   (* Acquire loads synchronize-with the release store they read from. *)
   (if Access.is_acquire access then
@@ -371,9 +396,7 @@ let buffered_stores t =
    seq-descending and the stores above the lower bound are a prefix of
    it.  [Cut_random] draws uniformly from the bound followed by those
    stores' seqs, oldest first. *)
-let line_cut t ~strategy line =
-  let lb = Persistence.cut_lb t.pers line in
-  let newest_first = Persistence.line_stores_newest_first t.pers line in
+let line_cut ~strategy ~lb newest_first =
   match strategy with
   | Cut_all -> (
       match newest_first with (s : Event.store) :: _ -> max lb s.Event.seq | [] -> lb)
@@ -408,7 +431,7 @@ let rec drain_everything t =
         ths;
       drain_everything t
 
-let crash t ~strategy =
+let crash ?heap_break t ~strategy =
   let lines = Persistence.lines t.pers in
   Metrics.incr m_crashes;
   Metrics.observe h_crash_lines (List.length lines);
@@ -417,55 +440,36 @@ let crash t ~strategy =
     if Observe.Trace.recording () then Some (Observe.Trace.now_us ()) else None
   in
   (* Store-buffer contents are volatile and vanish: do NOT drain. *)
-  (* Nothing writes to a crash state's image once it exists, so the
-     inherited image is still the pristine pre-execution state. *)
-  let image = Memimage.copy t.inherited.Crashstate.image in
-  let origins : (Addr.t, Crashstate.origin) Hashtbl.t =
-    Hashtbl.copy t.inherited.Crashstate.origins
+  let snapshot line =
+    let lb = Persistence.cut_lb t.pers line in
+    let stores = Persistence.line_stores_newest_first t.pers line in
+    { Crashstate.line; stores; lb; cut = line_cut ~strategy ~lb stores }
   in
-  let cands : (Addr.t * int, Crashstate.origin list) Hashtbl.t =
-    Hashtbl.copy t.inherited.Crashstate.cands
+  let lines = Array.of_list (List.map snapshot lines) in
+  let keeps_all (l : Crashstate.line) =
+    match l.Crashstate.stores with
+    | (s : Event.store) :: _ -> s.Event.seq <= l.Crashstate.cut
+    | [] -> true
   in
-  let cuts = Hashtbl.create 16 in
-  List.iter (fun line -> Hashtbl.replace cuts line (line_cut t ~strategy line)) lines;
-  let origin s = { Crashstate.store = s; exec_id = t.exec_id } in
-  (* Replay persisted stores in commit (= seq) order to materialize the
-     image; a store persists with the cut of the line of its first byte. *)
-  Persistence.iter_committed t.pers (fun (s : Event.store) ->
-      if s.Event.seq <= Hashtbl.find cuts (Addr.line s.Event.addr)
-         || Persistence.is_durable_nt t.pers s
-      then begin
-        Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
-        let o = origin s in
-        for i = 0 to s.Event.size - 1 do
-          Hashtbl.replace origins (s.Event.addr + i) o
-        done
-      end);
-  (* Candidate sets, once per (addr, size) of a committed store. *)
-  let seen = Hashtbl.create 64 in
-  Persistence.iter_committed t.pers (fun (s : Event.store) ->
-      let addr = s.Event.addr and size = s.Event.size in
-      let key = (addr lsl 4) lor size in
-      if not (Hashtbl.mem seen key) then begin
-        Hashtbl.add seen key ();
-        let this_exec, has_durable_base =
-          Persistence.candidates_map t.pers ~addr ~size origin
-        in
-        let merged =
-          if has_durable_base then this_exec
-          else Crashstate.find_candidates t.inherited ~addr ~size @ this_exec
-        in
-        Hashtbl.replace cands (addr, size) merged
-      end);
+  (* The cache is the inherited image with every committed store
+     written in commit order: when the cut keeps them all, it is the
+     image.  Otherwise replay the persisted ones onto the inherited
+     image, which nothing writes once its state exists. *)
+  let all_kept = Array.for_all keeps_all lines in
+  let image =
+    Memimage.copy (if all_kept then t.cache else t.inherited.Crashstate.image)
+  in
+  let heap_break =
+    match heap_break with Some h -> h | None -> t.inherited.Crashstate.heap_break
+  in
   let cs =
-    {
-      Crashstate.exec_id = t.exec_id;
-      image;
-      origins;
-      cands;
-      heap_break = t.inherited.Crashstate.heap_break;
-    }
+    Crashstate.layer ~parent:t.inherited ~exec_id:t.exec_id ~image ~lines
+      ~durable_nt:(Persistence.durable_seqs t.pers) ~heap_break
   in
+  if not all_kept then
+    Persistence.iter_committed t.pers (fun (s : Event.store) ->
+        if Crashstate.persisted cs s then
+          Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value);
   (match span_t0 with
   | Some ts ->
       Observe.Trace.complete ~cat:"px86"
@@ -476,9 +480,9 @@ let crash t ~strategy =
   | None -> ());
   cs
 
-let shutdown t =
+let shutdown ?heap_break t =
   drain_everything t;
   List.iter
     (fun line -> Persistence.flush_line t.pers ~line ~seq:t.seq)
     (Persistence.lines t.pers);
-  crash t ~strategy:Cut_all
+  crash ?heap_break t ~strategy:Cut_all

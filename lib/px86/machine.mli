@@ -99,13 +99,16 @@ val cut_of_label : seed:int -> string -> cut_strategy option
 
 (** Crash now: store-buffer contents are lost; each line persists a cut
     chosen by [strategy].  Returns the durable state for the next
-    execution. *)
-val crash : t -> strategy:cut_strategy -> Crashstate.t
+    execution: a new layer over the inherited state, recording
+    [heap_break] (default: the inherited one).  O(lines) besides the
+    image: the image is a copy of the cache when the cut keeps every
+    committed store, and a replay of the persisted ones otherwise. *)
+val crash : ?heap_break:int -> t -> strategy:cut_strategy -> Crashstate.t
 
 (** Clean shutdown: drain every buffer and persist every line, so the
     returned state is concrete (each location has exactly one candidate
     store). *)
-val shutdown : t -> Crashstate.t
+val shutdown : ?heap_break:int -> t -> Crashstate.t
 
 (** Number of stores currently buffered across all threads (testing). *)
 val buffered_stores : t -> int

@@ -48,13 +48,21 @@ val newest_covering : t -> addr:Addr.t -> size:int -> Event.store option
     later covering store (any of them may or may not have persisted). *)
 val candidates : t -> addr:Addr.t -> size:int -> Event.store list
 
-(** [candidates_map t ~addr ~size f] is [candidates] with [f] applied to
-    each store, built in one pass, paired with whether the list starts at
-    a durable base (a covering store at or below the line's lower bound,
-    or individually durable); without one, older executions' stores stay
-    possible too. *)
-val candidates_map :
-  t -> addr:Addr.t -> size:int -> (Event.store -> 'a) -> 'a list * bool
+(** [split_candidates ~durable ~lb ~addr ~size f newest_first] is
+    {!candidates} over any newest-first list of one line's stores with
+    flush lower bound [lb] and individually durable stores [durable] (a
+    crash state's line snapshot, say), with [f] applied to each store,
+    built in one pass; paired with whether the list starts at a durable
+    base (a covering store at or below [lb], or [durable]).  Without
+    one, older executions' stores stay possible too. *)
+val split_candidates :
+  durable:(Event.store -> bool) ->
+  lb:int ->
+  addr:Addr.t ->
+  size:int ->
+  (Event.store -> 'a) ->
+  Event.store list ->
+  'a list * bool
 
 (** [latest_at_or_below t ~addr ~size ~cut] is the newest store covering
     the range with [seq <= cut] (or individually durable), if any. *)
@@ -67,3 +75,7 @@ val mark_durable : t -> Event.store -> unit
 
 (** Whether a store is durable independent of its line's cut. *)
 val is_durable_nt : t -> Event.store -> bool
+
+(** Seqs of every individually durable store ({!mark_durable}),
+    ascending. *)
+val durable_seqs : t -> int array

@@ -405,9 +405,8 @@ let do_crash st =
   Metrics.incr m_crashes;
   st.crashed <- true;
   st.crashed_at_op <- Some st.ops;
-  let cs = Machine.crash st.machine ~strategy:st.cut in
-  cs.Px86.Crashstate.heap_break <- st.heap_break;
-  st.crash_state <- Some cs;
+  st.crash_state <-
+    Some (Machine.crash ~heap_break:st.heap_break st.machine ~strategy:st.cut);
   teardown_threads st
 
 (* A budget fired: terminate the runaway phase.  Unlike a crash this is
@@ -548,21 +547,19 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
       (* The runaway was killed mid-flight: materialize durable state
          as a crash cut (buffers lost), but report [Diverged] so the
          harness never mistakes this for a planned crash. *)
-      let cs = Machine.crash machine ~strategy:cut in
-      cs.Px86.Crashstate.heap_break <- st.heap_break;
-      (cs, Diverged)
+      (Machine.crash ~heap_break:st.heap_break machine ~strategy:cut, Diverged)
     end
     else
       match st.crash_state with
       | Some cs -> (cs, Crashed)
       | None ->
+          let heap_break = st.heap_break in
           let cs =
             match plan with
-            | Crash_at_end -> Machine.crash machine ~strategy:cut
+            | Crash_at_end -> Machine.crash ~heap_break machine ~strategy:cut
             | Run_to_end | Crash_before_op _ | Crash_before_flush _ ->
-                Machine.shutdown machine
+                Machine.shutdown ~heap_break machine
           in
-          cs.Px86.Crashstate.heap_break <- st.heap_break;
           (cs, Completed)
   in
   Metrics.observe h_ops st.ops;

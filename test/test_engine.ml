@@ -1,7 +1,7 @@
 (* Tests for the domain-parallel exploration engine: the determinism
    contract (engine at any job count == legacy sequential loops), the
-   memoized setup snapshot (never mutated by scenario runs) and the
-   Crashstate snapshot API. *)
+   memoized setup snapshot (shared by every scenario, never mutated) and
+   the Crashstate snapshot API. *)
 
 open Pm_runtime
 module Runner = Pm_harness.Runner
@@ -169,25 +169,64 @@ let test_random_drain_setup_not_memoized () =
   | Scenario.No_setup | Scenario.Snapshot _ ->
       Alcotest.fail "seed-dependent setup must be re-run per scenario"
 
+(* A lookup fingerprint of a crash state: image bytes and footprint, and
+   the origin and candidates of every 1/2/4/8-byte load in the image. *)
+let state_fingerprint (cs : Px86.Crashstate.t) =
+  let img = cs.Px86.Crashstate.image in
+  let b = Buffer.create 4096 in
+  let origin (o : Px86.Crashstate.origin) =
+    Printf.bprintf b "(%d,%d,%Ld)" o.Px86.Crashstate.exec_id
+      o.Px86.Crashstate.store.Px86.Event.seq o.Px86.Crashstate.store.Px86.Event.value
+  in
+  Printf.bprintf b "footprint=%d heap_break=%d\n" (Px86.Memimage.footprint img)
+    cs.Px86.Crashstate.heap_break;
+  for addr = 0 to Px86.Memimage.extent img - 1 do
+    Printf.bprintf b "%02Lx" (Px86.Memimage.read img ~addr ~size:1);
+    List.iter
+      (fun size ->
+        (match Px86.Crashstate.find_origin cs ~addr ~size with
+        | Some (o, torn) ->
+            origin o;
+            Buffer.add_string b (if torn then "t" else "-")
+        | None -> Buffer.add_char b '.');
+        List.iter origin (Px86.Crashstate.find_candidates cs ~addr ~size))
+      [ 1; 2; 4; 8 ];
+    Buffer.add_char b '\n'
+  done;
+  Buffer.contents b
+
+(* Crash states are immutable and shared: a parallel batch seeded from
+   one setup snapshot leaves every lookup of it as it was. *)
+let test_shared_snapshot_unchanged () =
+  match Engine.materialize_setup ~options:Runner.default_options toy with
+  | Scenario.No_setup | Scenario.Run_setup _ ->
+      Alcotest.fail "expected a memoized snapshot for an eager-drain setup"
+  | Scenario.Snapshot cs ->
+      let before = state_fingerprint cs in
+      let scenarios =
+        List.init 6 (fun i ->
+            Scenario.of_program ~setup:(Scenario.Snapshot cs)
+              ~plan:(Executor.Crash_before_op i) ~options:Runner.default_options toy)
+      in
+      let run = Engine.run ~jobs:2 scenarios in
+      check_int "every scenario ran" 6 run.Engine.stats.Engine.scenarios;
+      check_str "snapshot lookups unchanged by a jobs=2 batch" before
+        (state_fingerprint cs)
+
+(* [Crashstate.copy] still hands out an image of its own. *)
 let test_crashstate_copy_independent () =
   match Engine.run_setup Runner.default_options toy with
   | None -> Alcotest.fail "toy has a setup phase"
   | Some cs ->
+      let before = state_fingerprint cs in
       let snap = Px86.Crashstate.copy cs in
+      check "image unshared" true (snap.Px86.Crashstate.image != cs.Px86.Crashstate.image);
       let addr = 8 * Px86.Addr.line_size in
-      (* Mutate every mutable component of the copy... *)
-      Px86.Memimage.write snap.Px86.Crashstate.image ~addr ~size:8
-        ~value:0xDEADL;
-      Hashtbl.reset snap.Px86.Crashstate.origins;
-      Hashtbl.reset snap.Px86.Crashstate.cands;
-      snap.Px86.Crashstate.heap_break <- 0;
-      (* ...and the original must not notice. *)
+      Px86.Memimage.write snap.Px86.Crashstate.image ~addr ~size:8 ~value:0xDEADL;
       Alcotest.(check int64)
-        "image unshared" 0L
+        "write to the copy not seen by the original" 0L
         (Px86.Memimage.read cs.Px86.Crashstate.image ~addr ~size:8);
-      check "origins unshared" true
-        (Hashtbl.length cs.Px86.Crashstate.origins > 0);
-      check "heap break unshared" true (cs.Px86.Crashstate.heap_break > 0)
+      check_str "original lookups unchanged" before (state_fingerprint cs)
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                                *)
@@ -386,6 +425,8 @@ let () =
             test_setup_snapshot_memoized;
           Alcotest.test_case "random-drain setup re-run" `Quick
             test_random_drain_setup_not_memoized;
+          Alcotest.test_case "shared snapshot unchanged by a batch" `Quick
+            test_shared_snapshot_unchanged;
           Alcotest.test_case "Crashstate.copy independence" `Quick
             test_crashstate_copy_independent;
         ] );

@@ -448,6 +448,51 @@ let test_machine_inherited_chain () =
   | Some (o, _) -> check_int "origin from exec 1" 1 o.Crashstate.exec_id
   | None -> Alcotest.fail "expected origin"
 
+(* Every execution numbers its commits from 0, so a seq orders stores
+   only within one execution; across a crash chain the newer execution
+   wins. *)
+let test_machine_cross_exec_origin_order () =
+  let mk ?inherited ~exec_id () =
+    Machine.create ?inherited ~exec_id
+      { Machine.sb_policy = Machine.Eager; variant = Variant.strict_tso;
+        rng = Rng.create 0; observer = Observer.nop }
+  in
+  let m1 = mk ~exec_id:1 () in
+  for i = 1 to 5 do
+    store_d m1 ~tid:0 ~addr:(64 * i) ~size:8 ~value:(Int64.of_int i) ~access:Access.Plain
+  done;
+  store_d m1 ~tid:0 ~addr:0 ~size:8 ~value:0x1111L ~access:Access.Plain;
+  let cs1 = Machine.crash m1 ~strategy:Machine.Cut_all in
+  let m2 = mk ~inherited:cs1 ~exec_id:2 () in
+  store_d m2 ~tid:0 ~addr:0 ~size:4 ~value:0x2222L ~access:Access.Plain;
+  let cs2 = Machine.crash m2 ~strategy:Machine.Cut_all in
+  (match Crashstate.find_origin cs2 ~addr:0 ~size:8 with
+  | Some (o, torn) ->
+      check_int "origin from the newer execution" 2 o.Crashstate.exec_id;
+      check_i64 "origin is the 4-byte overwrite" 0x2222L o.Crashstate.store.Event.value;
+      check "bytes mix two writers" true torn
+  | None -> Alcotest.fail "expected an origin");
+  (* No store of exactly (2, 4): the byte origins answer, oldest first
+     by chain position (exec 1's seq 6 is older than exec 2's seq 1). *)
+  let values cs ~addr ~size =
+    List.map
+      (fun (o : Crashstate.origin) -> (o.Crashstate.exec_id, o.Crashstate.store.Event.value))
+      (Crashstate.find_candidates cs ~addr ~size)
+  in
+  Alcotest.(check (list (pair int int64)))
+    "byte-origin candidates in chain order" [ (1, 0x1111L); (2, 0x2222L) ]
+    (values cs2 ~addr:2 ~size:4);
+  (* Equal seqs in different executions are different stores. *)
+  let m1 = mk ~exec_id:1 () in
+  store_d m1 ~tid:0 ~addr:4 ~size:4 ~value:0x1111L ~access:Access.Plain;
+  let cs1 = Machine.crash m1 ~strategy:Machine.Cut_all in
+  let m2 = mk ~inherited:cs1 ~exec_id:2 () in
+  store_d m2 ~tid:0 ~addr:0 ~size:4 ~value:0x2222L ~access:Access.Plain;
+  let cs2 = Machine.crash m2 ~strategy:Machine.Cut_all in
+  Alcotest.(check (list (pair int int64)))
+    "same-seq stores of two executions both count" [ (1, 0x1111L); (2, 0x2222L) ]
+    (values cs2 ~addr:2 ~size:4)
+
 let test_machine_acquire_joins_cv () =
   let m = machine () in
   store_d m ~tid:0 ~addr:0 ~size:8 ~value:1L ~access:(Access.Atomic Access.Release);
@@ -755,14 +800,57 @@ let ref_line_cut p ~strategy line =
   | Machine.Cut_random rng ->
       Rng.pick rng (lb :: List.map (fun (s : Event.store) -> s.Event.seq) later)
 
-(* The crash materialization as it was: cuts per line, a global sort of
-   the persisted stores, and one candidate search per (addr, size). *)
-let ref_crash m ~strategy =
-  let p = Machine.persistence m and inherited = Machine.inherited m in
-  let exec_id = Machine.exec_id m in
-  let image = Memimage.copy inherited.Crashstate.image in
-  let origins = Hashtbl.copy inherited.Crashstate.origins in
-  let cands = Hashtbl.copy inherited.Crashstate.cands in
+(* The crash materialization as it was: flat per-byte origin and
+   per-(addr, size) candidate tables, copied from the inherited state on
+   every crash, with cuts per line, a global sort of the persisted
+   stores, and one candidate search per (addr, size).  A reference state
+   inherits its parent *reference* state, so chains compare layer for
+   layer.  Origins carry their chain position: seqs order stores within
+   one execution only. *)
+type ref_state = {
+  r_depth : int;
+  r_image : Memimage.t;
+  r_origins : (Addr.t, int * Crashstate.origin) Hashtbl.t;
+  r_cands : (Addr.t * int, Crashstate.origin list) Hashtbl.t;
+}
+
+let ref_boot () =
+  { r_depth = 0; r_image = Memimage.create (); r_origins = Hashtbl.create 8;
+    r_cands = Hashtbl.create 8 }
+
+let ref_key (d, (o : Crashstate.origin)) = (d, o.Crashstate.store.Event.seq)
+
+let ref_find_origin r ~addr ~size =
+  let best = ref None and torn = ref false in
+  for i = 0 to size - 1 do
+    match Hashtbl.find_opt r.r_origins (addr + i), !best with
+    | None, _ -> ()
+    | Some o, None -> best := Some o
+    | Some o, Some b ->
+        if (snd b).Crashstate.store != (snd o).Crashstate.store then torn := true;
+        if ref_key o > ref_key b then best := Some o
+  done;
+  Option.map (fun (_, o) -> (o, !torn)) !best
+
+let ref_find_candidates r ~addr ~size =
+  match Hashtbl.find_opt r.r_cands (addr, size) with
+  | Some cs -> cs
+  | None ->
+      let acc = ref [] in
+      for i = 0 to size - 1 do
+        match Hashtbl.find_opt r.r_origins (addr + i) with
+        | Some o when not (List.exists (fun o' -> ref_key o' = ref_key o) !acc) ->
+            acc := o :: !acc
+        | Some _ | None -> ()
+      done;
+      List.map snd (List.sort (fun a b -> compare (ref_key a) (ref_key b)) !acc)
+
+let ref_crash m ~strategy ~parent =
+  let p = Machine.persistence m in
+  let exec_id = Machine.exec_id m and depth = parent.r_depth + 1 in
+  let image = Memimage.copy parent.r_image in
+  let origins = Hashtbl.copy parent.r_origins in
+  let cands = Hashtbl.copy parent.r_cands in
   let cuts = Hashtbl.create 16 in
   List.iter
     (fun line -> Hashtbl.replace cuts line (ref_line_cut p ~strategy line))
@@ -777,7 +865,7 @@ let ref_crash m ~strategy =
   |> List.sort (fun (a : Event.store) b -> compare a.Event.seq b.Event.seq)
   |> List.iter (fun (s : Event.store) ->
          Memimage.write image ~addr:s.Event.addr ~size:s.Event.size ~value:s.Event.value;
-         let origin = { Crashstate.store = s; exec_id } in
+         let origin = (depth, { Crashstate.store = s; exec_id }) in
          for i = 0 to s.Event.size - 1 do
            Hashtbl.replace origins (s.Event.addr + i) origin
          done);
@@ -800,38 +888,44 @@ let ref_crash m ~strategy =
       let lb = Persistence.cut_lb p (Addr.line addr) in
       let merged =
         if ref_latest_at_or_below p ~addr ~size ~cut:lb <> None then this_exec
-        else Crashstate.find_candidates inherited ~addr ~size @ this_exec
+        else ref_find_candidates parent ~addr ~size @ this_exec
       in
       Hashtbl.replace cands (addr, size) merged)
     groups;
-  (image, origins, cands)
+  { r_depth = depth; r_image = image; r_origins = origins; r_cands = cands }
 
-(* Structural views for comparison; stores compare by identity. *)
+(* Stores compare by identity. *)
 let same_origin (a : Crashstate.origin) (b : Crashstate.origin) =
   a.Crashstate.store == b.Crashstate.store && a.Crashstate.exec_id = b.Crashstate.exec_id
 
-let sorted_bindings tbl =
-  List.sort (fun (a, _) (b, _) -> compare a b) (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-let same_crash (cs : Crashstate.t) (image, origins, cands) =
-  let img = cs.Crashstate.image in
+(* The layered state against its reference, through lookups: the image
+   bytes and footprint, and the origin and candidates of every load of
+   1, 2, 4 or 8 bytes starting in [0, extent) — line-straddling ranges
+   included. *)
+let same_crash (cs : Crashstate.t) r =
+  let img = cs.Crashstate.image and image = r.r_image in
+  let extent = Memimage.extent image in
   let bytes_equal =
     Memimage.footprint img = Memimage.footprint image
-    && Memimage.extent img = Memimage.extent image
+    && Memimage.extent img = extent
     && List.for_all
          (fun a -> Memimage.read img ~addr:a ~size:1 = Memimage.read image ~addr:a ~size:1)
          (List.init (Memimage.footprint img) Fun.id)
   in
-  let same_tbl same a b =
-    let a = sorted_bindings a and b = sorted_bindings b in
-    List.length a = List.length b
-    && List.for_all2 (fun (ka, va) (kb, vb) -> ka = kb && same va vb) a b
+  let same_lookups addr size =
+    (match Crashstate.find_origin cs ~addr ~size, ref_find_origin r ~addr ~size with
+    | Some (a, ta), Some (b, tb) -> same_origin a b && ta = tb
+    | None, None -> true
+    | _ -> false)
+    &&
+    let a = Crashstate.find_candidates cs ~addr ~size
+    and b = ref_find_candidates r ~addr ~size in
+    List.length a = List.length b && List.for_all2 same_origin a b
   in
   bytes_equal
-  && same_tbl same_origin cs.Crashstate.origins origins
-  && same_tbl
-       (fun a b -> List.length a = List.length b && List.for_all2 same_origin a b)
-       cs.Crashstate.cands cands
+  && List.for_all
+       (fun addr -> List.for_all (same_lookups addr) [ 1; 2; 4; 8 ])
+       (List.init extent Fun.id)
 
 (* Random machine programs: a few threads, stores of every size
    (including line-straddling and non-temporal ones), flushes, fences
@@ -881,58 +975,59 @@ let run_minstrs m prog =
       | I_bg -> Machine.background m)
     prog
 
+(* A three-deep chain, the recovery grid's shape: setup, pre-crash and
+   post-crash programs, each crashed and inherited by the next. *)
 let crash_case_gen =
   QCheck.Gen.(
     quad
-      (list_size (int_range 0 25) minstr_gen)
-      (list_size (int_range 1 40) minstr_gen)
-      (pair (int_bound 3) (int_bound 2))
-      (pair (int_bound 10_000) bool))
+      (triple
+         (list_size (int_range 0 25) minstr_gen)
+         (list_size (int_range 0 25) minstr_gen)
+         (list_size (int_range 1 40) minstr_gen))
+      (int_bound 3) (int_bound 2) (int_bound 10_000))
 
 let crash_case_arb =
   QCheck.make
-    ~print:(fun (pre, post, (policy, strat), (seed, inherits)) ->
-      Printf.sprintf "pre=%d post=%d policy=%d strategy=%d seed=%d inherits=%b"
-        (List.length pre) (List.length post) policy strat seed inherits)
+    ~print:(fun ((setup, pre, post), policy, strat, seed) ->
+      Printf.sprintf "setup=%d pre=%d post=%d policy=%d strategy=%d seed=%d"
+        (List.length setup) (List.length pre) (List.length post) policy strat seed)
     crash_case_gen
 
 let prop_crash_matches_reference =
   QCheck.Test.make ~name:"crash materialization matches the reference" ~count:300
-    crash_case_arb (fun (pre, post, (policy, strat), (seed, inherits)) ->
+    crash_case_arb (fun ((setup, pre, post), policy, strat, seed) ->
       let variant =
         List.nth [ Variant.strict_tso; Variant.epoch; Variant.relaxed; Variant.fence_nop ] policy
       in
       let sb_policy = if policy mod 2 = 0 then Machine.Eager else Machine.Random_drain 0.5 in
       let mk ?inherited ~exec_id () =
         Machine.create ?inherited ~exec_id
-          { Machine.sb_policy; variant; rng = Rng.create seed; observer = Observer.nop }
+          { Machine.sb_policy; variant; rng = Rng.create (seed + exec_id); observer = Observer.nop }
       in
-      let strategy () =
+      let strategy level =
         match strat with
         | 0 -> Machine.Cut_all
         | 1 -> Machine.Cut_lowerbound
-        | _ -> Machine.Cut_random (Rng.create (seed + 1))
+        | _ -> Machine.Cut_random (Rng.create (seed + 1 + level))
       in
-      let inherited =
-        if inherits then begin
-          let m0 = mk ~exec_id:1 () in
-          run_minstrs m0 pre;
-          Some (Machine.crash m0 ~strategy:(strategy ()))
-        end
-        else None
+      let rec chain level inherited parent = function
+        | [] -> true
+        | prog :: rest ->
+            let m = mk ?inherited ~exec_id:level () in
+            run_minstrs m prog;
+            let s1 = strategy level and s2 = strategy level in
+            let cs = Machine.crash m ~strategy:s1 in
+            let r = ref_crash m ~strategy:s2 ~parent in
+            (* Cut_random: both sides must also have made the same draws. *)
+            let same_draws =
+              match s1, s2 with
+              | Machine.Cut_random a, Machine.Cut_random b ->
+                  Rng.int a 1_000_000 = Rng.int b 1_000_000
+              | _ -> true
+            in
+            same_crash cs r && same_draws && chain (level + 1) (Some cs) r rest
       in
-      let m = mk ?inherited ~exec_id:2 () in
-      run_minstrs m post;
-      let s1 = strategy () and s2 = strategy () in
-      let cs = Machine.crash m ~strategy:s1 in
-      let expected = ref_crash m ~strategy:s2 in
-      (* Cut_random: both sides must also have made the same draws. *)
-      let same_draws =
-        match s1, s2 with
-        | Machine.Cut_random a, Machine.Cut_random b -> Rng.int a 1_000_000 = Rng.int b 1_000_000
-        | _ -> true
-      in
-      same_crash cs expected && same_draws)
+      chain 0 None (ref_boot ()) [ setup; pre; post ])
 
 (* Committed-store searches on the persistence domain. *)
 let prop_newest_covering_matches_reference =
@@ -1123,6 +1218,8 @@ let () =
           Alcotest.test_case "crash candidates" `Quick test_machine_crash_candidates;
           Alcotest.test_case "shutdown concrete" `Quick test_machine_shutdown_concrete;
           Alcotest.test_case "inherited chain" `Quick test_machine_inherited_chain;
+          Alcotest.test_case "cross-execution origin order" `Quick
+            test_machine_cross_exec_origin_order;
           Alcotest.test_case "acquire joins cv" `Quick test_machine_acquire_joins_cv;
           Alcotest.test_case "nt durable after fence" `Quick
             test_machine_nt_store_durable_after_fence;

@@ -300,14 +300,42 @@ let repeat op a reps =
     op a
   done
 
+(* Minor words one [Machine.crash] (the model-checking default cut,
+   [Cut_all]) allocates for an execution that committed [k] one-byte
+   stores to four cache lines, on top of a state whose own execution
+   committed [k] such stores too. *)
+let crash_words k =
+  let stores m =
+    for i = 0 to k - 1 do
+      Px86.Machine.store m ~tid:0 ~addr:((64 * (i mod 4)) + (i / 4)) ~size:1
+        ~value:(Int64.of_int i)
+        ~access:Px86.Access.Plain ~label:None;
+      Px86.Machine.background m
+    done
+  in
+  let machine ?inherited () =
+    Px86.Machine.create ?inherited ~exec_id:0
+      { Px86.Machine.sb_policy = Px86.Machine.Eager; variant = Px86.Variant.strict_tso;
+        rng = Yashme_util.Rng.create 0; observer = Px86.Observer.nop }
+  in
+  let parent = machine () in
+  stores parent;
+  let m = machine ~inherited:(Px86.Machine.crash parent ~strategy:Px86.Machine.Cut_all) () in
+  stores m;
+  minor_words_of (fun () -> ignore (Px86.Machine.crash m ~strategy:Px86.Machine.Cut_all))
+
 (* The per-op-kind cases, as (name, ceiling, measure).  [store] runs
    with a store buffer that never drains until shutdown and
    [clwb+sfence] is [reps] clwbs then one sfence, so both also price an
    append to a deep buffer: an append that copies the buffer (quadratic
    in its length) blows the ceiling.  Each ceiling sits about 25% above
    the value measured with OCaml 5.1.1 (load 31, store 80, clwb 38,
-   yield 12, CCEH 67.3 words per op); EXPERIMENTS.md, "Hot-path
-   allocation", has the history. *)
+   yield 12, CCEH 48.5 words per op); EXPERIMENTS.md, "Hot-path
+   allocation", has the history.  [crash] is the growth of one crash's
+   allocation when the execution and its inherited state commit 128
+   stores each instead of 64, in words per crash: a crash is O(lines),
+   so it is 0, and a crash that replays stores one by one or copies a
+   per-store index of its parent grows by several words per store. *)
 let alloc_cases =
   [
     ( "load",
@@ -328,8 +356,9 @@ let alloc_cases =
             Pmem.sfence ())
           () );
     ("yield", 15., fun () -> marginal_words ~setup:cell (repeat (fun _ -> Pmem.yield ())) ());
+    ("crash", 16., fun () -> crash_words 128 -. crash_words 64);
     ( "CCEH model check",
-      84.,
+      61.,
       fun () ->
         let ops = ref 0 in
         let words =
