@@ -139,6 +139,19 @@ let rec has_exact addr size = function
   | (s : Event.store) :: rest ->
       (s.Event.addr = addr && s.Event.size = size) || has_exact addr size rest
 
+(* The layer's own candidates for [[addr, addr+size)], oldest first,
+   and whether they start at a durable base: a covering store at or
+   below the line's flush lower bound, or individually durable.  The
+   same split as {!Persistence.candidates}, over the snapshot. *)
+let rec split_candidates t addr size lb acc = function
+  | [] -> (acc, false)
+  | (s : Event.store) :: rest ->
+      if not (Event.store_covers s addr size) then split_candidates t addr size lb acc rest
+      else
+        let acc = { store = s; exec_id = t.exec_id } :: acc in
+        if s.Event.seq <= lb || is_durable_nt t s then (acc, true)
+        else split_candidates t addr size lb acc rest
+
 let rec byte_origin t b =
   let s = layer_byte t b in
   if s != no_store then Some (t, s)
@@ -166,11 +179,7 @@ let byte_candidates t ~addr ~size =
 let rec find_candidates_from top t ~addr ~size =
   let line = find_line t (Addr.line addr) in
   if has_exact addr size line.stores then
-    let this_exec, based =
-      Persistence.split_candidates ~durable:(is_durable_nt t) ~lb:line.lb ~addr ~size
-        (fun s -> { store = s; exec_id = t.exec_id })
-        line.stores
-    in
+    let this_exec, based = split_candidates t addr size line.lb [] line.stores in
     match t.parent with
     | Some p when not based -> find_candidates_from p p ~addr ~size @ this_exec
     | Some _ | None -> this_exec

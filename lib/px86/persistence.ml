@@ -70,22 +70,17 @@ let rec latest_in t addr size cut = function
 let latest_at_or_below t ~addr ~size ~cut =
   latest_in t addr size cut (line_stores_newest_first t (Addr.line addr))
 
-let split_candidates ~durable ~lb ~addr ~size f newest_first =
+let candidates t ~addr ~size =
+  let lb = cut_lb t (Addr.line addr) in
   let rec split acc = function
-    | [] -> (acc, false) (* no definitely-durable base *)
+    | [] -> acc (* no definitely-durable base *)
     | (s : Event.store) :: rest ->
         if not (Event.store_covers s addr size) then split acc rest
-        else if s.seq <= lb || durable s then (f s :: acc, true)
+        else if s.seq <= lb || is_durable_nt t s then s :: acc
           (* s is the base; older stores are overwritten durably *)
-        else split (f s :: acc) rest
+        else split (s :: acc) rest
   in
-  split [] newest_first
-
-let candidates t ~addr ~size =
-  fst
-    (split_candidates ~durable:(is_durable_nt t) ~lb:(cut_lb t (Addr.line addr)) ~addr
-       ~size Fun.id
-       (line_stores_newest_first t (Addr.line addr)))
+  split [] (line_stores_newest_first t (Addr.line addr))
 
 let durable_seqs t =
   if Hashtbl.length t.durable_nt = 0 then [||]

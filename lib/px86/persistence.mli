@@ -48,22 +48,6 @@ val newest_covering : t -> addr:Addr.t -> size:int -> Event.store option
     later covering store (any of them may or may not have persisted). *)
 val candidates : t -> addr:Addr.t -> size:int -> Event.store list
 
-(** [split_candidates ~durable ~lb ~addr ~size f newest_first] is
-    {!candidates} over any newest-first list of one line's stores with
-    flush lower bound [lb] and individually durable stores [durable] (a
-    crash state's line snapshot, say), with [f] applied to each store,
-    built in one pass; paired with whether the list starts at a durable
-    base (a covering store at or below [lb], or [durable]).  Without
-    one, older executions' stores stay possible too. *)
-val split_candidates :
-  durable:(Event.store -> bool) ->
-  lb:int ->
-  addr:Addr.t ->
-  size:int ->
-  (Event.store -> 'a) ->
-  Event.store list ->
-  'a list * bool
-
 (** [latest_at_or_below t ~addr ~size ~cut] is the newest store covering
     the range with [seq <= cut] (or individually durable), if any. *)
 val latest_at_or_below : t -> addr:Addr.t -> size:int -> cut:int -> Event.store option

@@ -328,10 +328,11 @@ let crash_words k =
    with a store buffer that never drains until shutdown and
    [clwb+sfence] is [reps] clwbs then one sfence, so both also price an
    append to a deep buffer: an append that copies the buffer (quadratic
-   in its length) blows the ceiling.  Each ceiling sits about 25% above
-   the value measured with OCaml 5.1.1 (load 31, store 80, clwb 38,
-   yield 12, CCEH 48.5 words per op); EXPERIMENTS.md, "Hot-path
-   allocation", has the history.  [crash] is the growth of one crash's
+   in its length) blows the ceiling.  Each ceiling was set about 25%
+   above the value measured with OCaml 5.1.1 (load 31, store 80, clwb
+   38, yield 12, CCEH 48.5 words per op; store now measures 71, since
+   its shutdown crash no longer replays the stores); EXPERIMENTS.md,
+   "Hot-path allocation", has the history.  [crash] is the growth of one crash's
    allocation when the execution and its inherited state commit 128
    stores each instead of 64, in words per crash: a crash is O(lines),
    so it is 0, and a crash that replays stores one by one or copies a
