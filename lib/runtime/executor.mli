@@ -11,10 +11,10 @@
     of mutable state it touches — scheduler tables, RNG, machine,
     effect-handler continuations — inside the call, so concurrent [run]s
     on separate domains never share mutable structure, {e provided}
-    their inputs are unshared:
+    their mutable inputs are unshared:
     - an [inherited] crash state is immutable, so any number of
-      concurrent runs may share one (each machine reads a private copy
-      of its image);
+      concurrent runs may share one (each machine works on a private
+      copy of its image);
     - a [detector] and an [observer] are single-scenario objects;
     - a [Px86.Machine.Cut_random] cut strategy carries a mutable
       {!Yashme_util.Rng.t} inside the variant and is the one knob that
