@@ -366,7 +366,7 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
           c "executor/setup/stores" + c "executor/pre/stores"
           + c "executor/post/stores"
         in
-        Pm_corpus.Json.encode_obj
+        Yashme_util.Json.encode_obj
           [ ("bench", `S m.m_name);
             ("variant", `S Px86.Variant.default_label);
             ("jobs", `I sn.Engine.jobs);

@@ -252,7 +252,7 @@ let observe_setup ~log_level ~coverage ~progress ~progress_out ~metrics
 let finish_progress () = ignore (Observe.Progress.stop ())
 
 (* The merged coverage snapshot as JSONL: one flat object per program,
-   through the corpus codec so field order and number rendering are
+   through Yashme_util.Json so field order and number rendering are
    deterministic.  Written crash-safely (tmp + atomic rename) like
    every other file the driver emits. *)
 let write_coverage_file = function
@@ -263,7 +263,7 @@ let write_coverage_file = function
         (String.concat ""
            (List.map
               (fun s ->
-                Pm_corpus.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
+                Yashme_util.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
               stats));
       Printf.printf "coverage: %d program(s) written to %s\n" (List.length stats)
         file
@@ -279,7 +279,7 @@ let attach_coverage ~coverage ~variant (p : Pm_harness.Program.t) r =
     | None -> r
 
 (* The jobs-invariant attribution projection as JSONL, one flat object
-   per cost center, through the corpus codec (like coverage-out).
+   per cost center, through Yashme_util.Json (like coverage-out).
    Also crash-safe via tmp + atomic rename. *)
 let write_attribution_file rows = function
   | None -> ()
@@ -288,7 +288,7 @@ let write_attribution_file rows = function
         (String.concat ""
            (List.map
               (fun r ->
-                Pm_corpus.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
+                Yashme_util.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
               rows));
       Printf.printf "attribution: %d cost center(s) written to %s\n"
         (List.length rows) file
@@ -682,14 +682,22 @@ let trace_lint_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
            ~doc:"File to validate: JSONL when the name ends in .jsonl, SVG \
-                 (timeline export) when it ends in .svg, Chrome trace JSON \
+                 (timeline export) when it ends in .svg, one JSON document \
                  otherwise.")
+  in
+  (* JSON files go through the loaders' own reader, so lint passing
+     means every emitter's bytes parse under the one grammar. *)
+  let lint_json file =
+    let data = In_channel.with_open_bin file In_channel.input_all in
+    if Filename.check_suffix file ".jsonl" then
+      Result.map ignore (Yashme_util.Json.of_jsonl (fun _ -> Ok ()) data)
+    else Result.map ignore (Yashme_util.Json.parse data)
   in
   let run file =
     let check =
       if Filename.check_suffix file ".svg" then
         Observe.Timeline.check_svg_file
-      else Observe.Trace.check_file
+      else lint_json
     in
     match check file with
     | Ok () -> Printf.printf "%s: well-formed\n" file
@@ -728,23 +736,14 @@ let profile_cmd =
     | exception Sys_error msg ->
         Printf.eprintf "%s\n" msg;
         exit 1
-    | data ->
-        let lines =
-          List.filter
-            (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' data)
-        in
-        let rec parse i acc = function
-          | [] -> Ok (List.rev acc)
-          | l :: rest -> (
-              match Pm_corpus.Json.decode_obj l with
-              | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-              | Ok fs -> (
-                  match Observe.Attribution.of_fields fs with
-                  | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-                  | Ok row -> parse (i + 1) (row :: acc) rest))
-        in
-        (match parse 1 [] lines with
+    | data -> (
+        match
+          Yashme_util.Json.of_jsonl
+            (fun v ->
+              Result.bind (Yashme_util.Json.flat v)
+                Observe.Attribution.of_fields)
+            data
+        with
         | Error msg ->
             Printf.eprintf "%s: %s\n" file msg;
             exit 1
@@ -1036,11 +1035,11 @@ let scaling_cmd =
             List.iter
               (fun pair ->
                 rows :=
-                  Pm_corpus.Json.encode_obj
+                  Yashme_util.Json.encode_obj
                     (Observe.Scaling.fields ~program:name pair)
                   :: !rows;
                 projection_rows :=
-                  Pm_corpus.Json.encode_obj
+                  Yashme_util.Json.encode_obj
                     (Observe.Scaling.fields ~timing:false ~program:name pair)
                   :: !projection_rows)
               a.Observe.Scaling.a_levels)
@@ -1477,7 +1476,7 @@ let soak_cmd =
           (String.concat "\n"
              (List.map
                 (fun s ->
-                  Pm_corpus.Json.encode_obj (Observe.Coverage.fields s))
+                  Yashme_util.Json.encode_obj (Observe.Coverage.fields s))
                 stats))
   in
   let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops

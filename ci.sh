@@ -134,6 +134,8 @@ grep -v '^corpus: ' "$suite_dir/report1.txt" | cmp - CHECK_ALL_golden.txt || {
   echo "ci: check-all --jobs 1 report differs from CHECK_ALL_golden.txt" >&2
   exit 1
 }
+# every emitted artifact parses under the loaders' one JSON grammar
+dune exec bin/yashme_cli.exe -- trace-lint "$suite_dir/corpus1.jsonl"
 rm -rf "$suite_dir"
 
 echo "== recovery-grid byte identity (check-all --mode mc-recovery vs golden)"
@@ -189,6 +191,7 @@ cmp "$att1" "$att4" || {
   echo "ci: attribution export differs between --jobs 1 and --jobs 4" >&2
   exit 1
 }
+dune exec bin/yashme_cli.exe -- trace-lint "$att1"
 # the [attribution] block names the distinct cost centers on CCEH
 out=$(dune exec bin/yashme_cli.exe -- check CCEH --jobs 2 --quiet \
   --attribution --ledger "$ledger")
@@ -232,6 +235,7 @@ grep -q '"soak_ok":true' "$soak_m1" || {
 }
 dune exec bin/yashme_cli.exe -- trace-lint "$soak_m1"
 dune exec bin/yashme_cli.exe -- trace-lint "$soak_prog"
+dune exec bin/yashme_cli.exe -- trace-lint "$soak_c1"
 # Same seed, same budget: witnesses byte-identical, manifests
 # identical modulo the timing stamps and the corpus path.
 dune exec bin/yashme_cli.exe -- soak cceh --seed 7 --max-ops 1200 --jobs 2 \
@@ -336,6 +340,14 @@ dune exec bench/main.exe -- --throughput-only --jobs 2 --repeats 1 \
   --out "$bench_cur" >/dev/null
 dune exec bin/yashme_cli.exe -- bench-diff BENCH_engine_throughput.json \
   "$bench_cur" --tolerance 400
+# Bench summaries are JSONL under a .json name: lint a .jsonl copy.
+bench_lint=$(mktemp /tmp/yashme-ci-bench-lint.XXXXXX.jsonl)
+cp "$bench_cur" "$bench_lint"
+dune exec bin/yashme_cli.exe -- trace-lint "$bench_lint" || {
+  rm -f "$bench_lint"
+  exit 1
+}
+rm -f "$bench_lint"
 # Two back-to-back runs of the same build must pass a generous gate.
 dune exec bench/main.exe -- --throughput-only --jobs 2 --repeats 1 \
   --out "$bench_rerun" >/dev/null

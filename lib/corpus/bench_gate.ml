@@ -1,13 +1,15 @@
 (* The benchmark regression gate.
 
    bench/main.exe writes its engine-throughput summary as a JSONL file
-   of flat objects ({!Json.encode_obj} shape); the gate re-reads two
+   of flat objects ({!Json.encode_obj}); the gate re-reads two
    such files — a committed baseline and a fresh run — and compares
    one numeric metric per benchmark under a percentage tolerance.
    Higher is better (the default metric is [ops_per_s]): a current
    value below [baseline * (1 - tolerance/100)] regresses, and a
    baseline benchmark missing from the current file fails the gate
    outright (a silently dropped benchmark must not read as a pass). *)
+
+module Json = Yashme_util.Json
 
 type entry = { e_key : string; e_fields : (string * Json.value) list }
 
@@ -36,34 +38,17 @@ let key_of fields =
       | None -> Some bench
       | Some jobs -> Some (Printf.sprintf "%s[jobs=%s]" bench jobs))
 
-let of_jsonl data =
-  let lines =
-    List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' data)
-  in
-  let rec loop i acc = function
-    | [] -> Ok (List.rev acc)
-    | l :: rest -> (
-        match Json.decode_obj l with
-        | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-        | Ok fields -> (
-            match key_of fields with
-            | None -> Error (Printf.sprintf "line %d: no \"bench\" field" i)
-            | Some key -> loop (i + 1) ({ e_key = key; e_fields = fields } :: acc) rest))
-  in
-  loop 1 [] lines
+let of_jsonl =
+  Json.of_jsonl (fun v ->
+      Result.bind (Json.flat v) (fun fields ->
+          match key_of fields with
+          | None -> Error "no \"bench\" field"
+          | Some key -> Ok { e_key = key; e_fields = fields }))
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | data ->
-      if String.trim data = "" then
-        Error (Printf.sprintf "%s: empty bench file" path)
-      else of_jsonl data
+  | data -> of_jsonl data
 
 type verdict = {
   v_key : string;

@@ -1,24 +1,26 @@
 (** The benchmark regression gate.
 
-    Compares two bench summary files (JSONL of flat {!Json} objects,
-    as written by [bench/main.exe --out]) on one numeric metric under
-    a percentage tolerance.  Metrics are higher-is-better: a current
-    value below [baseline * (1 - tolerance/100)] regresses, and a
-    baseline benchmark missing from the current file fails the gate
-    outright. *)
+    Compares two bench summary files (JSONL of flat
+    {!Yashme_util.Json} objects, as written by [bench/main.exe --out])
+    on one numeric metric under a percentage tolerance.  Metrics are
+    higher-is-better: a current value below
+    [baseline * (1 - tolerance/100)] regresses, and a baseline
+    benchmark missing from the current file fails the gate outright. *)
 
 type entry = {
   e_key : string;  (** ["bench"] plus ["[jobs=N]"] when present *)
-  e_fields : (string * Json.value) list;
+  e_fields : (string * Yashme_util.Json.value) list;
 }
 
 (** Look up a field. *)
-val field : entry -> string -> Json.value option
+val field : entry -> string -> Yashme_util.Json.value option
 
 (** Numeric field ([`I] or [`F]); [None] when absent or non-numeric. *)
 val number : entry -> string -> float option
 
-(** Parse JSONL content; every line must carry a ["bench"] field. *)
+(** Parse JSONL content ({!Yashme_util.Json.of_jsonl}: errors carry
+    the physical ["line N"], empty content is an error); every line
+    must carry a ["bench"] field. *)
 val of_jsonl : string -> (entry list, string) result
 
 (** Read and parse a bench file; empty/unreadable files are errors. *)

@@ -1,10 +1,10 @@
 (* Run-ledger file I/O and comparison.
 
-   The schema lives in Observe.Ledger; here it meets the corpus JSONL
-   codec (Json.encode_obj / Json.decode_obj — the two field types are
-   the same structural polymorphic variant, so entries flow through
-   without conversion) and the bench gate's tolerance judge. *)
+   The schema lives in Observe.Ledger; here it meets the JSONL codec
+   (Yashme_util.Json, whose scalar type is the ledger's field type) and
+   the bench gate's tolerance judge. *)
 
+module Json = Yashme_util.Json
 module Ledger = Observe.Ledger
 
 (* Crash-safe append: existing entries plus the new line are republished
@@ -15,33 +15,10 @@ let append path e =
   Yashme_util.Atomic_file.append_line path (Json.encode_obj (Ledger.fields e))
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | data ->
-      if String.trim data = "" then
-        Error (Printf.sprintf "%s: empty ledger" path)
-      else
-        let lines =
-          List.filter
-            (fun l -> String.trim l <> "")
-            (String.split_on_char '\n' data)
-        in
-        let rec loop i acc = function
-          | [] -> Ok (List.rev acc)
-          | l :: rest -> (
-              match Json.decode_obj l with
-              | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-              | Ok fields -> (
-                  match Ledger.of_fields fields with
-                  | Error e -> Error (Printf.sprintf "line %d: %s" i e)
-                  | Ok entry -> loop (i + 1) (entry :: acc) rest))
-        in
-        loop 1 [] lines
+      Json.of_jsonl (fun v -> Result.bind (Json.flat v) Ledger.of_fields) data
 
 let find entries sel =
   let n = List.length entries in

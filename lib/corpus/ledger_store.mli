@@ -2,10 +2,9 @@
 
     The schema (entry record, field encoding, version gate, digests,
     field classification) lives in {!Observe.Ledger}; this module binds
-    it to the corpus JSONL codec: one {!Json.encode_obj} line per run,
-    appended by [--ledger FILE] and re-read by [yashme runs] /
-    [yashme compare].  Every line {!Observe.Trace.check_jsonl} accepts
-    everything {!append} writes. *)
+    it to the JSONL codec: one {!Yashme_util.Json.encode_obj} line per
+    run, appended by [--ledger FILE] and re-read by [yashme runs] /
+    [yashme compare]. *)
 
 (** Append one entry to [path] (created if absent), crash-safely: the
     existing entries and the new line are written to a temporary that
@@ -13,8 +12,8 @@
     a truncated ledger. *)
 val append : string -> Observe.Ledger.entry -> unit
 
-(** Read and decode a ledger file.  Errors carry the 1-based line
-    position (["line N: ..."]); an empty file is an error (a ledger you
+(** Read and decode a ledger file.  Errors carry the 1-based physical
+    line position (["line N: ..."], blank lines counted); an empty file is an error (a ledger you
     can list must have at least one run), and a line with a version
     newer than {!Observe.Ledger.version} is a positioned error, never a
     silent misread. *)

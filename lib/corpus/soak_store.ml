@@ -1,12 +1,13 @@
 (* Soak persistence: witness sink + versioned run manifest.
 
-   The manifest is one flat Json line, like a witness or ledger entry,
-   so the trace linter and the corpus codec cover it for free.  The
+   The manifest is one flat JSON line, like a witness or ledger entry,
+   so [yashme trace-lint] and the JSON codec cover it for free.  The
    per-combo quarantine state is flattened to [bucket:LABEL:faults] /
    [bucket:LABEL:quarantined] fields — labels contain ':' themselves,
    so decoding strips the fixed prefix and suffixes rather than
    splitting. *)
 
+module Json = Yashme_util.Json
 module Soak = Pm_harness.Soak
 module Scenario = Pm_harness.Scenario
 module Engine = Pm_harness.Engine
@@ -312,12 +313,7 @@ let decode line =
 let save path m = Yashme_util.Atomic_file.write path (encode m ^ "\n")
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | data -> (
       match

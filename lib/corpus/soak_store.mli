@@ -5,7 +5,7 @@
     A checkpoint is two files, both written crash-safely
     ({!Yashme_util.Atomic_file}): the witness corpus (ordinary
     {!Corpus} JSONL, only written once non-empty) and the manifest —
-    one {!Json} line carrying the run's configuration (seed, budgets,
+    one {!Yashme_util.Json} line carrying the run's configuration (seed, budgets,
     variant, streams), the driver {!Pm_harness.Soak.snapshot}
     (per-combo fault/quarantine state flattened to [bucket:*] fields),
     sink counters, a coverage digest and the [soak_ok] marker.  Since
@@ -72,7 +72,7 @@ type manifest = {
 }
 
 (** One deterministic JSON line (no trailing newline); equal manifests
-    encode to equal bytes.  {!Observe.Trace.check_jsonl} accepts it. *)
+    encode to equal bytes. *)
 val encode : manifest -> string
 
 (** Decode one manifest line: positioned on nothing (a manifest is one
@@ -83,7 +83,7 @@ val decode : string -> (manifest, string) result
 (** The fields two runs of the same seed must agree on: everything
     except the timing stamps ([ts], [elapsed_s]).  Byte-compare the
     encodings of two identity projections to check reproducibility. *)
-val identity_fields : manifest -> (string * Json.value) list
+val identity_fields : manifest -> (string * Yashme_util.Json.value) list
 
 (** Write [path] crash-safely (tmp + atomic rename). *)
 val save : string -> manifest -> unit

@@ -1,3 +1,4 @@
+module Json = Yashme_util.Json
 module Executor = Pm_runtime.Executor
 module Scenario = Pm_harness.Scenario
 module Engine = Pm_harness.Engine
@@ -53,7 +54,7 @@ let encode w =
        ("plan", `S (Executor.plan_label w.plan));
        ("post_plan", `S (Executor.plan_label w.post_plan));
      ]
-    @ (Scenario.options_fields w.options :> (string * Json.value) list)
+    @ Scenario.options_fields w.options
     @ [ ("summary", `S w.summary) ])
 
 let decode line =
@@ -89,9 +90,7 @@ let decode line =
   in
   let* plan = plan_field "plan" in
   let* post_plan = plan_field "post_plan" in
-  let* options =
-    Scenario.options_of_fields (fields :> (string * Scenario.field) list)
-  in
+  let* options = Scenario.options_of_fields fields in
   let* summary = str "summary" in
   Ok { kind; program; key; plan; post_plan; options; summary }
 

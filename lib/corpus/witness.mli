@@ -8,7 +8,7 @@
     mode, seed, policies, budgets) — plus the finding's stable identity
     key and a human-readable exemplar.
 
-    One witness is one single-line JSON object (see {!Json}); a corpus
+    One witness is one single-line JSON object (see {!Yashme_util.Json}); a corpus
     is a JSONL file of them.  The format is versioned ({!version});
     decoding rejects other versions loudly rather than misreading
     them.

@@ -34,8 +34,6 @@ let default_options =
    Everything round-trips exactly; [Cut_random]'s Rng is rebuilt from
    the serialized seed (see Px86.Machine.cut_of_label). *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 let mode_label = function
   | Yashme.Detector.Prefix -> "prefix"
   | Yashme.Detector.Baseline -> "baseline"
@@ -45,7 +43,7 @@ let mode_of_label = function
   | "baseline" -> Some Yashme.Detector.Baseline
   | _ -> None
 
-let options_fields o : (string * field) list =
+let options_fields o : (string * Yashme_util.Json.value) list =
   [
     ("mode", `S (mode_label o.mode));
     ("eadr", `B o.eadr);
@@ -60,7 +58,7 @@ let options_fields o : (string * field) list =
     ("max_wall_s", match o.max_wall_s with Some s -> `F s | None -> `Null);
   ]
 
-let options_of_fields (fields : (string * field) list) =
+let options_of_fields (fields : (string * Yashme_util.Json.value) list) =
   let ( let* ) = Result.bind in
   let find key = List.assoc_opt key fields in
   let str key =

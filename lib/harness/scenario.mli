@@ -36,12 +36,10 @@ val default_options : options
     which reproduces the original draws because the seed fully
     determined them. *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 val mode_label : Yashme.Detector.mode -> string
 val mode_of_label : string -> Yashme.Detector.mode option
-val options_fields : options -> (string * field) list
-val options_of_fields : (string * field) list -> (options, string) result
+val options_fields : options -> (string * Yashme_util.Json.value) list
+val options_of_fields : (string * Yashme_util.Json.value) list -> (options, string) result
 
 (** True when any option draws from an RNG at exploration time
     ([Random_sched], [Random_drain], [Cut_random]): such witnesses are

@@ -188,11 +188,9 @@ let pp ?(timing = true) ppf rows =
 
 let to_string ?timing rows = Format.asprintf "%a" (pp ?timing) rows
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (* One flat JSONL object per center — only the invariant projection, so
    an --attribution-out file is byte-identical for every --jobs count. *)
-let fields r : (string * field) list =
+let fields r : (string * Yashme_util.Json.value) list =
   [
     ("center", `S r.r_center);
     ("count", `I r.r_count);
@@ -203,7 +201,7 @@ let fields r : (string * field) list =
 (* Inverse of [fields], for re-rendering an --attribution-out file
    (yashme profile --attribution).  Wall clocks are not serialized, so
    the reconstructed row carries none. *)
-let of_fields (fs : (string * field) list) =
+let of_fields (fs : (string * Yashme_util.Json.value) list) =
   let str k =
     match List.assoc_opt k fs with Some (`S s) -> Some s | _ -> None
   in

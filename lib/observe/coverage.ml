@@ -225,11 +225,9 @@ let indices_label indices =
   in
   match parts with [] -> "-" | parts -> String.concat "," parts
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
-(* Flat field list, stable order: the shape lib/corpus's codec encodes
+(* Flat field list, stable order: the shape Yashme_util.Json encodes
    verbatim (one JSON object per program). *)
-let fields s : (string * field) list =
+let fields s : (string * Yashme_util.Json.value) list =
   [
     ("program", `S s.program);
     ("variant", `S s.variant);

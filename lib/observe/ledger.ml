@@ -1,7 +1,7 @@
 (* The durable run ledger: one versioned manifest per detection run.
 
    A ledger file is JSONL — one flat object per run, encoded/decoded by
-   the corpus codec (this module only builds and consumes the field
+   {!Yashme_util.Json} (this module only builds and consumes the field
    lists; [Pm_corpus.Ledger_store] owns the file I/O, because lib/corpus
    depends on lib/observe and not the other way around).
 
@@ -14,8 +14,6 @@
      from regression gating,
    - everything else, which is deterministic for a fixed configuration:
      two identical-config runs must show zero deltas there. *)
-
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
 
 let version = 1
 
@@ -76,7 +74,7 @@ let render_field = function
   | `F f -> Printf.sprintf "%.17g" f
   | `Null -> "null"
 
-let digest_fields (fields : (string * field) list) =
+let digest_fields (fields : (string * Yashme_util.Json.value) list) =
   digest_string
     (String.concat ";"
        (List.map (fun (k, v) -> Printf.sprintf "%s=%s" k (render_field v)) fields))
@@ -117,7 +115,7 @@ let cost_field_names center =
     Printf.sprintf "cc:%s:units" center,
     Printf.sprintf "cc:%s:wall_us" center )
 
-let fields e : (string * field) list =
+let fields e : (string * Yashme_util.Json.value) list =
   [
     ("v", `I e.e_version);
     ("run", `S e.e_run);

@@ -5,8 +5,6 @@
     File I/O and run-to-run comparison live in [Pm_corpus.Ledger_store]
     (lib/corpus depends on lib/observe, not the other way around). *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
 (** Current schema version; lines carrying a newer [v] are decode
     errors, never silent misinterpretations. *)
 val version : int
@@ -55,7 +53,7 @@ val digest_counters : (string * int) list -> string
 
 (** Digest of a flat field list (e.g. {!Coverage.fields}), in field
     order. *)
-val digest_fields : (string * field) list -> string
+val digest_fields : (string * Yashme_util.Json.value) list -> string
 
 (** Wall-clock/GC-word class fields ([ts], [elapsed_s], [cpu_s],
     [cc:*:wall_us], [cc:gc/*]): excluded from regression gating. *)
@@ -70,15 +68,15 @@ val identity_field : string -> bool
     means any delta is a change worth flagging. *)
 val direction : string -> [ `Higher | `Lower | `Neutral ]
 
-(** Flat, order-stable field list — the shape [Pm_corpus.Json] encodes
+(** Flat, order-stable field list — the shape {!Yashme_util.Json} encodes
     verbatim as one JSONL line.  Cost centers appear as
     [cc:<center>:count] / [cc:<center>:units] / [cc:<center>:wall_us]
     triples, sorted by center. *)
-val fields : entry -> (string * field) list
+val fields : entry -> (string * Yashme_util.Json.value) list
 
 (** Inverse of {!fields}.  Errors on missing/mistyped fields and on a
     version newer than {!version}.  [of_fields (fields e) = Ok e]. *)
-val of_fields : (string * field) list -> (entry, string) result
+val of_fields : (string * Yashme_util.Json.value) list -> (entry, string) result
 
 (** Every numeric field (timing included; identity excluded), in
     {!fields} order — the comparison substrate. *)

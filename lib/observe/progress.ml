@@ -3,8 +3,8 @@
    The engine announces each batch ([batch n]) and ticks once per
    finished scenario; this module turns the ticks into a throttled
    heartbeat on stderr and, optionally, a machine-readable JSONL
-   stream (one flat object per emission, accepted by
-   [Trace.check_jsonl]).
+   stream (one flat object per emission, read back by
+   [Yashme_util.Json.of_jsonl]).
 
    Progress is wall-clock by nature (rate, ETA), so it is kept
    strictly out of the deterministic report path: nothing here is read

@@ -157,13 +157,12 @@ let analyze ~program levels =
 (* ------------------------------------------------------------------ *)
 (* The two-class export                                                 *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
-(* Flat JSONL row per level (corpus-codec shape).  The [timing:false]
-   prefix is the jobs-invariant projection; [timing:true] appends the
-   wall-clock class after it, so projection consumers keep a stable
-   field prefix. *)
-let fields ?(timing = true) ~program (l, d) : (string * field) list =
+(* Flat JSONL row per level ({!Yashme_util.Json.encode_obj} shape).
+   The [timing:false] prefix is the jobs-invariant projection;
+   [timing:true] appends the wall-clock class after it, so projection
+   consumers keep a stable field prefix. *)
+let fields ?(timing = true) ~program (l, d) :
+    (string * Yashme_util.Json.value) list =
   let invariant =
     [
       ("program", `S program);

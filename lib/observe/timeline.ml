@@ -21,7 +21,7 @@
 
    Rendering is dependency-free: an ASCII lane chart, a hand-built SVG
    document (checked by {!check_svg}, the trace-lint analogue for the
-   CI artifact), and flat JSONL field lists for the corpus codec. *)
+   CI artifact), and flat JSONL field lists for {!Yashme_util.Json}. *)
 
 type kind = Busy | Wait | Idle
 
@@ -383,8 +383,7 @@ let svg ?(width = 800) t =
 (* ------------------------------------------------------------------ *)
 (* SVG well-formedness (trace-lint for the SVG artifact)                *)
 
-(* A small XML well-formedness scanner, in the spirit of
-   {!Trace.check_json}: tags must balance, attributes must be quoted,
+(* A small XML well-formedness scanner: tags must balance, attributes must be quoted,
    text may only use the five predefined entities.  No DOM is built. *)
 let check_svg s =
   let n = String.length s in
@@ -556,13 +555,11 @@ let check_svg_file path =
 (* ------------------------------------------------------------------ *)
 (* Flat export + tables                                                 *)
 
-type field = [ `S of string | `I of int | `B of bool | `F of float | `Null ]
-
-(* One flat object per lane, through the corpus codec.  All wall-clock
+(* One flat object per lane, through {!Yashme_util.Json}.  All wall-clock
    class: timeline exports are timing artifacts and are NOT expected to
    be byte-stable across runs or --jobs counts (unlike the scaling
    report's non-timing projection). *)
-let lane_fields t l : (string * field) list =
+let lane_fields t l : (string * Yashme_util.Json.value) list =
   [
     ("pid", `I l.tl_pid);
     ("tid", `I l.tl_tid);

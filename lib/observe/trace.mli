@@ -70,14 +70,3 @@ val to_jsonl : unit -> string
 (** Write the trace to [path]: JSONL when the name ends in [.jsonl],
     the Chrome document otherwise. *)
 val write : string -> unit
-
-(** Tiny JSON well-formedness checkers (no values are built), so tests
-    and CI can validate emitted traces without a JSON dependency. *)
-
-val check_json : string -> (unit, string) result
-
-(** Validate every non-empty line as a standalone JSON value. *)
-val check_jsonl : string -> (unit, string) result
-
-(** Validate a file, dispatching on the [.jsonl] suffix like {!write}. *)
-val check_file : string -> (unit, string) result

@@ -9,7 +9,7 @@ module Report = Pm_harness.Report
 module Program = Pm_harness.Program
 module Scenario = Pm_harness.Scenario
 module Invariant = Pm_oracle.Invariant
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Witness = Pm_corpus.Witness
 module Replay = Pm_corpus.Replay
 module Minimize = Pm_corpus.Minimize

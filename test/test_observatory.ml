@@ -14,7 +14,7 @@ module Progress = Observe.Progress
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 module Program = Pm_harness.Program
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Ledger_store = Pm_corpus.Ledger_store
 module Bench_gate = Pm_corpus.Bench_gate
 
@@ -323,6 +323,25 @@ let test_store_positioned_errors () =
           check "second line positioned" true
             (Str.string_match (Str.regexp "line 2:") e 0))
 
+(* Blank lines are skipped but counted: garbage on physical line 3,
+   after two blank lines, is reported at line 3 (it used to read as
+   line 1), by the ledger and the bench-gate loaders alike. *)
+let test_store_physical_line_numbers () =
+  with_temp_ledger (fun tmp ->
+      let oc = open_out tmp in
+      output_string oc "\n\nnot json\n";
+      close_out oc;
+      (match Ledger_store.load tmp with
+      | Ok _ -> Alcotest.fail "garbage ledger accepted"
+      | Error e ->
+          check ("ledger error at line 3: " ^ e) true
+            (Str.string_match (Str.regexp "line 3: offset 0:") e 0));
+      match Bench_gate.load tmp with
+      | Ok _ -> Alcotest.fail "garbage bench file accepted"
+      | Error e ->
+          check ("bench error at line 3: " ^ e) true
+            (Str.string_match (Str.regexp "line 3: offset 0:") e 0))
+
 (* ------------------------------------------------------------------ *)
 (* Comparison                                                           *)
 
@@ -549,6 +568,8 @@ let () =
             test_store_roundtrip_and_find;
           Alcotest.test_case "positioned errors" `Quick
             test_store_positioned_errors;
+          Alcotest.test_case "physical line numbers" `Quick
+            test_store_physical_line_numbers;
         ] );
       ( "compare",
         [

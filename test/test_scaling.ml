@@ -10,7 +10,7 @@ module Timeline = Observe.Timeline
 module Scaling = Observe.Scaling
 module Trace = Observe.Trace
 module Bench_gate = Pm_corpus.Bench_gate
-module Json = Pm_corpus.Json
+module Json = Yashme_util.Json
 module Runner = Pm_harness.Runner
 module Report = Pm_harness.Report
 
@@ -185,8 +185,8 @@ let test_timeline_lane_fields_flat () =
   List.iter
     (fun l ->
       let line = Json.encode_obj (Timeline.lane_fields t l) in
-      match Trace.check_json line with
-      | Ok () -> ()
+      match Json.decode_obj line with
+      | Ok _ -> ()
       | Error msg -> Alcotest.failf "lane JSONL rejected: %s" msg)
     t.Timeline.t_lanes
 
@@ -303,8 +303,8 @@ let test_scaling_fields_projection () =
   check "full row carries timing" true (List.mem_assoc "efficiency" full);
   check "projection does not" true (not (List.mem_assoc "elapsed_s" proj));
   (* Both encode as valid flat JSON. *)
-  check "full encodes" true (Result.is_ok (Trace.check_json (Json.encode_obj full)));
-  check "proj encodes" true (Result.is_ok (Trace.check_json (Json.encode_obj proj)))
+  check "full encodes" true (Result.is_ok (Json.decode_obj (Json.encode_obj full)));
+  check "proj encodes" true (Result.is_ok (Json.decode_obj (Json.encode_obj proj)))
 
 (* ------------------------------------------------------------------ *)
 (* The scaling gate                                                     *)

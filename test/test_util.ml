@@ -1,7 +1,8 @@
 (* Unit and property tests for the utility library: vector clocks,
-   the deterministic RNG, and table rendering. *)
+   the deterministic RNG, table rendering, and the JSON codec. *)
 
 module Clockvec = Yashme_util.Clockvec
+module Json = Yashme_util.Json
 module Rng = Yashme_util.Rng
 module Pretty = Yashme_util.Pretty
 
@@ -230,6 +231,169 @@ let test_table () =
   check "contains cell" true (contains ~needle:"ccc" t);
   Alcotest.(check int) "three lines" 3 (List.length (String.split_on_char '\n' t))
 
+(* ------------------------------------------------------------------ *)
+(* JSON: one grammar, pinned by one table                               *)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix
+  && String.sub s 0 (String.length prefix) = prefix
+
+(* [Flat]: a flat object, accepted by [parse] and [decode_obj].
+   [Json]: valid JSON that is not a flat object ([decode_obj] rejects).
+   [Bad]: malformed; both reject with an ["offset N: "] error. *)
+type verdict = Flat | Json | Bad
+
+let grammar_table =
+  [
+    (* well-formed *)
+    ({|{}|}, Flat);
+    ({| {"s":"x\u0041\n\/","i":-3,"f":1.5e-3,"b":false,"n":null} |}, Flat);
+    ({|{"big":1.7976931348623157e+308,"z":-0,"e":2E5}|}, Flat);
+    ({|{"pair":"\ud83d\ude00"}|}, Flat);
+    ({|[]|}, Json);
+    ({|null|}, Json);
+    ({|-1.5e3|}, Json);
+    ({|"\ud800\udc00"|}, Json);
+    ({|{"a":[1,true,"x\u0041"]}|}, Json);
+    ({|{"a":{"b":1}}|}, Json);
+    ({|{"a":[1]}|}, Json);
+    (* malformed *)
+    ("", Bad);
+    ("  \n ", Bad);
+    ("{", Bad);
+    ("[1,]", Bad);
+    ({|{"a":}|}, Bad);
+    ({|{"a" 1}|}, Bad);
+    ({|"unterminated|}, Bad);
+    ({|{"a":"oops|}, Bad);
+    ({|{"a":1} trailing|}, Bad);
+    ({|{"a":1} x|}, Bad);
+    ("nulll", Bad);
+    ("[1 2]", Bad);
+    ({|{"bad\x":1}|}, Bad);
+    ({|{"a":yes}|}, Bad);
+    ({|{"a":01}|}, Bad);
+    ({|{"a":-}|}, Bad);
+    ({|{"a":1e}|}, Bad);
+    ({|{"a":"\u12"}|}, Bad);
+    ({|{"a":"\u00g1"}|}, Bad);
+    ({|{"a":"\udc00"}|}, Bad);
+    ({|{"a":"\ud800A"}|}, Bad);
+    ({|{"a":"\ud800"}|}, Bad);
+    (* the inputs the corpus decoder and the trace linter used to
+       disagree on *)
+    ({|{"n":0x10}|}, Bad);
+    ({|{"n":1_000}|}, Bad);
+    ({|{"n":+5}|}, Bad);
+    ({|{"n":1.}|}, Bad);
+    ("{\"s\":\"a\x01b\"}", Bad);
+    ({|"\ud800"|}, Bad);
+  ]
+
+let test_json_rejects_malformed () =
+  List.iter
+    (fun (s, verdict) ->
+      (match (Json.parse s, verdict) with
+      | Ok _, (Flat | Json) -> ()
+      | Error e, Bad ->
+          check (Printf.sprintf "parse %S: positioned error" s) true
+            (starts_with "offset " e)
+      | Ok _, Bad -> Alcotest.failf "parse accepted malformed %S" s
+      | Error e, _ -> Alcotest.failf "parse rejected %S: %s" s e);
+      match (Json.decode_obj s, verdict) with
+      | Ok _, Flat | Error _, (Json | Bad) -> ()
+      | Ok _, _ -> Alcotest.failf "decode_obj accepted %S" s
+      | Error e, Flat -> Alcotest.failf "decode_obj rejected %S: %s" s e)
+    grammar_table
+
+let test_json_numbers () =
+  let num s = Json.parse s in
+  check "int token is `I" true (num "42" = Ok (`I 42));
+  check "max_int is `I" true (num (string_of_int max_int) = Ok (`I max_int));
+  check "past max_int is `F" true
+    (num "4611686018427387904" = Ok (`F 4611686018427387904.));
+  check "fraction is `F" true (num "2.0" = Ok (`F 2.));
+  check "exponent is `F" true (num "1e2" = Ok (`F 100.))
+
+let test_json_nesting_bound () =
+  let nest n = String.make n '[' ^ String.make n ']' in
+  check "max_depth levels accepted" true
+    (Result.is_ok (Json.parse (nest Json.max_depth)));
+  let deep = 1_000_000 in
+  match Json.parse (String.make deep '[') with
+  | Ok _ -> Alcotest.fail "accepted unbounded nesting"
+  | Error e ->
+      Alcotest.(check string)
+        "positioned at the first level past the bound"
+        (Printf.sprintf "offset %d: nesting deeper than %d" Json.max_depth
+           Json.max_depth)
+        e
+
+(* JSONL errors carry physical line numbers: blank lines are skipped
+   but still counted. *)
+let test_jsonl_physical_lines () =
+  let trace =
+    "{\"name\":\"a\",\"ph\":\"X\",\"ts\":1,\"dur\":2}\n\n\n{\"name\":garbage\n"
+  in
+  (match Json.of_jsonl (fun v -> Ok v) trace with
+  | Ok _ -> Alcotest.fail "garbage line accepted"
+  | Error e -> check ("syntax error on line 4: " ^ e) true (starts_with "line 4: offset " e));
+  (match Json.of_jsonl (fun _ -> Error "no \"bench\" field") "\n\n{}\n" with
+  | Ok _ -> Alcotest.fail "decoder error dropped"
+  | Error e ->
+      Alcotest.(check string) "decoder error on line 3" "line 3: no \"bench\" field" e);
+  (match Json.of_jsonl (fun v -> Ok v) "1\r\n\n[2]\n" with
+  | Ok vs -> check "CRLF and blank lines tolerated" true (vs = [ `I 1; `A [ `I 2 ] ])
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun s ->
+      match Json.of_jsonl (fun v -> Ok v) s with
+      | Ok _ -> Alcotest.failf "empty input %S accepted" s
+      | Error e -> check ("empty input positioned: " ^ e) true (starts_with "offset 0: " e))
+    [ ""; "\n\n"; " \t\r\n" ]
+
+(* parse (encode v) = v over nested values with finite floats.  The
+   documented exception: an integral float that %.17g renders without
+   an exponent reads back as [`I]. *)
+let rec integral_floats_as_ints (v : Json.t) : Json.t =
+  match v with
+  | `F f when Float.is_integer f && Float.abs f < 1e17 -> `I (int_of_float f)
+  | `A vs -> `A (List.map integral_floats_as_ints vs)
+  | `O kvs -> `O (List.map (fun (k, v) -> (k, integral_floats_as_ints v)) kvs)
+  | v -> v
+
+let json_gen : Json.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let str = string_size ~gen:char (int_bound 8) in
+    let scalar : Json.t t =
+      oneof
+        [
+          map (fun s -> `S s) str;
+          map (fun i -> `I i) int;
+          map (fun b -> `B b) bool;
+          map (fun f -> `F (if Float.is_finite f then f else 0.5)) float;
+          map (fun i -> `F (float_of_int i)) small_signed_int;
+          return `Null;
+        ]
+    in
+    sized_size (int_bound 4)
+      (fix (fun self n ->
+           if n = 0 then scalar
+           else
+             frequency
+               [
+                 (2, scalar);
+                 (1, map (fun vs -> `A vs) (list_size (int_bound 4) (self (n - 1))));
+                 ( 1,
+                   map (fun kvs -> `O kvs)
+                     (list_size (int_bound 4) (pair str (self (n - 1)))) );
+               ])))
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"parse (encode v) = v" ~count:500
+    (QCheck.make ~print:Json.encode json_gen) (fun v ->
+      Json.parse (Json.encode v) = Ok (integral_floats_as_ints v))
+
 let () =
   Alcotest.run "util"
     [
@@ -271,5 +435,14 @@ let () =
           Alcotest.test_case "pad" `Quick test_pad;
           Alcotest.test_case "hex" `Quick test_hex;
           Alcotest.test_case "table" `Quick test_table;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "rejects malformed" `Quick test_json_rejects_malformed;
+          Alcotest.test_case "number classes" `Quick test_json_numbers;
+          Alcotest.test_case "nesting bound" `Quick test_json_nesting_bound;
+          Alcotest.test_case "jsonl physical line numbers" `Quick
+            test_jsonl_physical_lines;
+          QCheck_alcotest.to_alcotest prop_json_roundtrip;
         ] );
     ]
