@@ -182,6 +182,25 @@ let test_chrome_json_well_formed () =
   | Error msg -> Alcotest.failf "jsonl rejected: %s" msg);
   quiesce ()
 
+(* The JSON reader that [yashme trace-lint] uses rejects malformed
+   documents and accepts the valid shapes a trace can contain. *)
+let test_check_json_rejects_malformed () =
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> Alcotest.failf "accepted malformed JSON %S" s
+      | Error _ -> ())
+    [
+      ""; "{"; "[1,]"; "{\"a\":}"; "{\"a\" 1}"; "\"unterminated";
+      "{\"a\":1} trailing"; "nulll"; "[1 2]"; "{\"bad\\x\":1}";
+    ];
+  List.iter
+    (fun s ->
+      match Json.parse s with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "rejected valid JSON %S: %s" s msg)
+    [ "{}"; "[]"; "null"; "-1.5e3"; "{\"a\":[1,true,\"x\\u0041\"]}" ]
+
 (* What [yashme trace-lint] checks for a JSON file. *)
 let lint path =
   let data = In_channel.with_open_bin path In_channel.input_all in
@@ -400,6 +419,8 @@ let () =
             test_span_off_costs_nothing;
           Alcotest.test_case "chrome/jsonl well-formed" `Quick
             test_chrome_json_well_formed;
+          Alcotest.test_case "json checker rejects malformed" `Quick
+            test_check_json_rejects_malformed;
           Alcotest.test_case "write + lint roundtrip" `Quick
             test_write_and_lint_roundtrip;
           Alcotest.test_case "lint rejects empty/truncated files" `Quick
