@@ -138,6 +138,29 @@ grep -v '^corpus: ' "$suite_dir/report1.txt" | cmp - CHECK_ALL_golden.txt || {
 dune exec bin/yashme_cli.exe -- trace-lint "$suite_dir/corpus1.jsonl"
 rm -rf "$suite_dir"
 
+echo "== observe byte identity (--metrics --coverage and --attribution-out vs goldens)"
+# The [metrics] and coverage blocks and the attribution projection
+# (the non-timing columns) are pinned against committed goldens at
+# both job counts: a change to the observe registry or its renderers
+# may not move a single byte of them.
+obs_dir=$(mktemp -d /tmp/yashme-ci-observe.XXXXXX)
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun"; rm -rf "$obs_dir"' EXIT
+for j in 1 2; do
+  dune exec bin/yashme_cli.exe -- check-all --jobs $j --metrics --coverage \
+    > "$obs_dir/observe$j.txt"
+  cmp "$obs_dir/observe$j.txt" CHECK_ALL_OBSERVE_golden.txt || {
+    echo "ci: check-all --jobs $j --metrics --coverage differs from CHECK_ALL_OBSERVE_golden.txt" >&2
+    exit 1
+  }
+  dune exec bin/yashme_cli.exe -- check-all --jobs $j --quiet \
+    --attribution-out "$obs_dir/attribution$j.jsonl" >/dev/null
+  cmp "$obs_dir/attribution$j.jsonl" CHECK_ALL_ATTRIBUTION_golden.jsonl || {
+    echo "ci: check-all --jobs $j --attribution-out differs from CHECK_ALL_ATTRIBUTION_golden.jsonl" >&2
+    exit 1
+  }
+done
+rm -rf "$obs_dir"
+
 echo "== recovery-grid byte identity (check-all --mode mc-recovery vs golden)"
 # Two-crash chains (setup -> pre -> post -> recovery) are where crash
 # states inherit deepest; pin their report against the committed golden
