@@ -406,15 +406,8 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
       measured
   in
   List.iter print_endline json_lines;
-  let oc = open_out out in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun l ->
-          output_string oc l;
-          output_char oc '\n')
-        json_lines);
+  Yashme_util.Atomic_file.write out
+    (String.concat "" (List.map (fun l -> l ^ "\n") json_lines));
   Printf.printf "engine-throughput summary written to %s\n" out;
   match ledger with
   | None -> ()

@@ -8,7 +8,8 @@
 
    Accounting is attributed to the ambient program of the calling
    domain (a [Domain.DLS] slot the engine sets around each scenario),
-   and accumulated into per-domain shards merged on read.  Every
+   and accumulated into the {!Registry}'s per-domain locked shards,
+   merged on read.  Every
    per-program quantity is either a set union or a counter sum, and
    each scenario executes exactly once regardless of the pool size, so
    merged coverage is byte-identical for every [--jobs] count.
@@ -17,12 +18,7 @@
    is a no-op behind a single [Atomic.get] branch, and nothing here
    feeds back into the exploration being measured. *)
 
-let shards = 64 (* power of two; domain ids map to shards by masking *)
-
-let enabled = Atomic.make false
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
+include Registry.Switch ()
 
 (* Persistency-model variant label used when the engine supplies none.
    Kept as an opaque string convention (lib/observe must not depend on
@@ -51,20 +47,16 @@ type acc = {
   mutable a_oracle_violations : int;
 }
 
-(* Keyed by (program, variant label): running the same program under
-   several model variants accumulates separate rows. *)
-type shard = { lock : Mutex.t; progs : (string * string, acc) Hashtbl.t }
+(* One table per shard, keyed by (program, variant label): running the
+   same program under several model variants accumulates separate
+   rows. *)
+let store : (string * string, acc) Hashtbl.t Registry.locked =
+  Registry.locked (fun () -> Hashtbl.create 8)
 
-let store =
-  Array.init shards (fun _ -> { lock = Mutex.create (); progs = Hashtbl.create 8 })
+let reset () = Registry.iter store Hashtbl.reset
 
-let reset () =
-  Array.iter
-    (fun s -> Mutex.protect s.lock (fun () -> Hashtbl.reset s.progs))
-    store
-
-let acc_of s key =
-  match Hashtbl.find_opt s.progs key with
+let acc_of progs key =
+  match Hashtbl.find_opt progs key with
   | Some a -> a
   | None ->
       let a =
@@ -80,19 +72,17 @@ let acc_of s key =
           a_oracle_violations = 0;
         }
       in
-      Hashtbl.add s.progs key a;
+      Hashtbl.add progs key a;
       a
 
 (* Run [f] on the calling domain's accumulator for the ambient
    program; the common disabled / no-ambient-program case is two loads
    and a branch. *)
 let touch f =
-  if Atomic.get enabled then
+  if Atomic.get on then
     match Domain.DLS.get ambient with
     | None -> ()
-    | Some key ->
-        let s = store.((Domain.self () :> int) land (shards - 1)) in
-        Mutex.protect s.lock (fun () -> f (acc_of s key))
+    | Some key -> Registry.with_local store (fun progs -> f (acc_of progs key))
 
 let with_program ?(variant = default_variant) program f =
   let saved = Domain.DLS.get ambient in
@@ -180,15 +170,10 @@ let merge (program, variant) accs =
 
 let snapshot () =
   let by_key : (string * string, acc list) Hashtbl.t = Hashtbl.create 16 in
-  Array.iter
-    (fun s ->
-      Mutex.protect s.lock (fun () ->
-          Hashtbl.iter
-            (fun key a ->
-              let prev = Option.value ~default:[] (Hashtbl.find_opt by_key key) in
-              Hashtbl.replace by_key key (a :: prev))
-            s.progs))
-    store;
+  Registry.iter store
+    (Hashtbl.iter (fun key a ->
+         let prev = Option.value ~default:[] (Hashtbl.find_opt by_key key) in
+         Hashtbl.replace by_key key (a :: prev)));
   Hashtbl.fold (fun key accs out -> merge key accs :: out) by_key []
   |> List.sort (fun a b -> compare (a.program, a.variant) (b.program, b.variant))
 

@@ -1,156 +1,66 @@
-(* Domain-safe counters and histograms.
-
-   Every cell is an [Atomic.t] sharded by domain id: concurrent
-   increments from engine workers land on different cells, and reads
-   merge the shards (addition commutes, so merged totals are identical
-   for any interleaving — and therefore for any --jobs count).
+(* Domain-safe counters and histograms: a view over the {!Registry}'s
+   [Counter] and [Histogram] entries.
 
    Everything is a no-op behind a single [Atomic.get] branch until
    [enable] is called, and nothing here feeds back into the systems
    being measured: instrumented code behaves identically with metrics
    on or off. *)
 
-let shards = 64 (* power of two; domain ids map to cells by masking *)
+include Registry.Switch ()
 
-let slot () = (Domain.self () :> int) land (shards - 1)
-
-let enabled = Atomic.make false
-let enable () = Atomic.set enabled true
-let disable () = Atomic.set enabled false
-let is_enabled () = Atomic.get enabled
-
-type counter = { c_name : string; cells : int Atomic.t array }
-
-(* Power-of-two buckets: a value v lands in bucket [bits v], so bucket
-   i holds values in [2^(i-1), 2^i). *)
-let buckets = 63
-
-type histogram = {
-  h_name : string;
-  h_counts : int Atomic.t array; (* shards * buckets, flattened *)
-  h_sums : int Atomic.t array; (* per-shard value sums *)
-  h_maxes : int Atomic.t array; (* per-shard maxima *)
-}
-
+type counter = Registry.entry
+type histogram = Registry.entry
 type hstats = { count : int; sum : int; max : int }
 
-let registry_lock = Mutex.create ()
-let counter_registry : (string, counter) Hashtbl.t = Hashtbl.create 64
-let histogram_registry : (string, histogram) Hashtbl.t = Hashtbl.create 16
+let counter name = Registry.register Registry.Counter name
+let histogram name = Registry.register Registry.Histogram name
+let counter_name = Registry.name
+let histogram_name = Registry.name
 
-let atomics n = Array.init n (fun _ -> Atomic.make 0)
-
-(* Creation is idempotent: asking twice for one name yields the same
-   cells, so instrumentation sites and tests can share counters by
-   name alone. *)
-let counter name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt counter_registry name with
-      | Some c -> c
-      | None ->
-          let c = { c_name = name; cells = atomics shards } in
-          Hashtbl.add counter_registry name c;
-          c)
-
-let histogram name =
-  Mutex.protect registry_lock (fun () ->
-      match Hashtbl.find_opt histogram_registry name with
-      | Some h -> h
-      | None ->
-          let h =
-            {
-              h_name = name;
-              h_counts = atomics (shards * buckets);
-              h_sums = atomics shards;
-              h_maxes = atomics shards;
-            }
-          in
-          Hashtbl.add histogram_registry name h;
-          h)
-
-let counter_name c = c.c_name
-let histogram_name h = h.h_name
-
-let add c n =
-  if Atomic.get enabled then ignore (Atomic.fetch_and_add c.cells.(slot ()) n)
-
+let add c n = if Atomic.get on then Registry.add c Registry.value n
 let incr c = add c 1
-
-let value c = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 c.cells
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and v = ref v in
-    while !v > 0 do
-      b := !b + 1;
-      v := !v lsr 1
-    done;
-    min !b (buckets - 1)
-  end
-
-let observe h v =
-  if Atomic.get enabled then begin
-    let s = slot () in
-    ignore (Atomic.fetch_and_add h.h_counts.((s * buckets) + bucket_of v) 1);
-    ignore (Atomic.fetch_and_add h.h_sums.(s) v);
-    let rec bump () =
-      let m = Atomic.get h.h_maxes.(s) in
-      if v > m && not (Atomic.compare_and_set h.h_maxes.(s) m v) then bump ()
-    in
-    bump ()
-  end
+let value c = (Registry.read c).(Registry.value)
+let observe h v = if Atomic.get on then Registry.sample h v
 
 let hstats h =
-  let count = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.h_counts in
-  let sum = Array.fold_left (fun acc a -> acc + Atomic.get a) 0 h.h_sums in
-  let max = Array.fold_left (fun acc a -> Stdlib.max acc (Atomic.get a)) 0 h.h_maxes in
-  { count; sum; max }
+  let v = Registry.read h in
+  { count = v.(Registry.count); sum = v.(Registry.sum); max = v.(Registry.max) }
 
-let bucket_counts h =
-  Array.init buckets (fun b ->
-      let acc = ref 0 in
-      for s = 0 to shards - 1 do
-        acc := !acc + Atomic.get h.h_counts.((s * buckets) + b)
-      done;
-      !acc)
+let bucket_counts h = Array.sub (Registry.read h) Registry.bucket0 Registry.buckets
 
-(* Merged view of the whole registry: counters by name, plus #count /
-   #sum / #max pseudo-counters per histogram, sorted by name so two
-   snapshots of identical work compare equal structurally. *)
+let mine = function
+  | Registry.Counter | Registry.Histogram -> true
+  | Registry.Center -> false
+
+(* Counters by name, plus #count / #sum / #max pseudo-counters per
+   histogram, sorted by name so two snapshots of identical work compare
+   equal structurally. *)
 let snapshot () =
-  Mutex.protect registry_lock (fun () ->
-      let cs =
-        Hashtbl.fold (fun name c acc -> (name, value c) :: acc) counter_registry []
-      in
-      let hs =
-        Hashtbl.fold
-          (fun name h acc ->
-            let s = hstats h in
-            (name ^ "#count", s.count)
-            :: (name ^ "#sum", s.sum)
-            :: (name ^ "#max", s.max)
-            :: acc)
-          histogram_registry []
-      in
-      List.sort (fun (a, _) (b, _) -> compare a b) (cs @ hs))
+  List.concat_map
+    (fun (r : Registry.row) ->
+      match r.kind with
+      | Registry.Histogram ->
+          [
+            (r.name ^ "#count", r.cells.(Registry.count));
+            (r.name ^ "#sum", r.cells.(Registry.sum));
+            (r.name ^ "#max", r.cells.(Registry.max));
+          ]
+      | Registry.Counter | Registry.Center -> [ (r.name, r.cells.(Registry.value)) ])
+    (Registry.snapshot mine)
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-(* after - before, dropping zero deltas (names absent from [before]
-   count as zero). *)
+let row (name, v) =
+  {
+    Registry.name;
+    kind = Registry.Counter;
+    units_label = "";
+    volatile_units = false;
+    cells = [| v |];
+  }
+
 let diff before after =
-  List.filter_map
-    (fun (name, v) ->
-      let prev = Option.value ~default:0 (List.assoc_opt name before) in
-      if v - prev = 0 then None else Some (name, v - prev))
-    after
+  List.map
+    (fun (r : Registry.row) -> (r.name, r.cells.(Registry.value)))
+    (Registry.diff (List.map row before) (List.map row after))
 
-let reset () =
-  Mutex.protect registry_lock (fun () ->
-      let zero a = Array.iter (fun cell -> Atomic.set cell 0) a in
-      Hashtbl.iter (fun _ c -> zero c.cells) counter_registry;
-      Hashtbl.iter
-        (fun _ h ->
-          zero h.h_counts;
-          zero h.h_sums;
-          zero h.h_maxes)
-        histogram_registry)
+let reset () = Registry.reset mine

@@ -1,8 +1,9 @@
-(** Domain-safe counters and histograms.
+(** Domain-safe counters and histograms: a view over {!Registry}'s
+    [Counter] and [Histogram] entries.
 
-    Cells are [Atomic.t]s sharded by domain id; reads merge the shards.
-    Because addition commutes, merged totals are independent of how work
-    was interleaved across domains — counters of deterministic work are
+    Cells are sharded by domain id; reads merge the shards.  Because
+    addition commutes, merged totals are independent of how work was
+    interleaved across domains — counters of deterministic work are
     identical for every [--jobs] count.
 
     The whole module is disabled by default: every write is a no-op

@@ -2,8 +2,8 @@
    about://tracing JSON ({"traceEvents":[...]}) or machine-readable
    JSONL (one event object per line).
 
-   Events are recorded into per-domain sharded buffers (one mutex per
-   shard, domains collide only modulo the shard count) and merged at
+   Events are recorded into the {!Registry}'s per-domain locked shards
+   (domains collide only modulo the shard count) and merged at
    export.  Recording is off until [start]; every emit is a no-op
    behind one [Atomic.get] branch, so instrumentation left in hot
    paths costs one load + branch when tracing is disabled. *)
@@ -39,26 +39,20 @@ let now_us () =
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 
-let recording_flag = Atomic.make false
-let recording () = Atomic.get recording_flag
+module Recording = Registry.Switch ()
 
-let shard_count = 64
+let recording () = Atomic.get Recording.on
 
-type shard = { lock : Mutex.t; mutable shard_events : event list (* newest first *) }
+(* One buffer per registry shard, newest event first. *)
+let buffers : event list ref Registry.locked = Registry.locked (fun () -> ref [])
 
-let shards =
-  Array.init shard_count (fun _ -> { lock = Mutex.create (); shard_events = [] })
-
-let clear () =
-  Array.iter
-    (fun s -> Mutex.protect s.lock (fun () -> s.shard_events <- []))
-    shards
+let clear () = Registry.iter buffers (fun b -> b := [])
 
 let start () =
   clear ();
-  Atomic.set recording_flag true
+  Recording.enable ()
 
-let stop () = Atomic.set recording_flag false
+let stop = Recording.disable
 
 (* Ambient (pid, tid) of the calling domain: the engine labels each
    worker's lane once and every span emitted underneath inherits it,
@@ -73,9 +67,7 @@ let default_pid_tid () =
   | Some c -> c
   | None -> (0, (Domain.self () :> int))
 
-let record ev =
-  let s = shards.((Domain.self () :> int) land (shard_count - 1)) in
-  Mutex.protect s.lock (fun () -> s.shard_events <- ev :: s.shard_events)
+let record ev = Registry.with_local buffers (fun b -> b := ev :: !b)
 
 let complete ?(cat = "") ?pid ?tid ?(args = []) ~ts_us ~dur_us name =
   if recording () then begin
@@ -101,10 +93,9 @@ let instant ?(cat = "") ?pid ?tid ?(args = []) name =
    before — its children. *)
 let events () =
   let all =
-    Array.fold_left
-      (fun acc s ->
-        List.rev_append (List.mapi (fun i e -> (i, e)) s.shard_events) acc)
-      [] shards
+    Registry.fold buffers
+      (fun acc b -> List.rev_append (List.mapi (fun i e -> (i, e)) !b) acc)
+      []
   in
   List.stable_sort
     (fun (ia, a) (ib, b) ->
@@ -154,13 +145,11 @@ let to_jsonl () =
     (events ());
   Buffer.contents buf
 
-let event_count () = List.length (events ())
+(* The shard lengths, without merging or sorting. *)
+let event_count () = Registry.fold buffers (fun n b -> n + List.length !b) 0
 
 let is_jsonl path = Filename.check_suffix path ".jsonl"
 
 let write path =
-  let data = if is_jsonl path then to_jsonl () else to_chrome_json () in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc data)
+  Yashme_util.Atomic_file.write path
+    (if is_jsonl path then to_jsonl () else to_chrome_json ())

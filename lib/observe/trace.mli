@@ -59,6 +59,7 @@ val instant :
     first so parents precede children). *)
 val events : unit -> event list
 
+(** Number of recorded events (no merge or sort). *)
 val event_count : unit -> int
 
 (** The Chrome trace-viewer document ({["{\"traceEvents\":[...]}"]}). *)
@@ -67,6 +68,7 @@ val to_chrome_json : unit -> string
 (** One JSON object per line. *)
 val to_jsonl : unit -> string
 
-(** Write the trace to [path]: JSONL when the name ends in [.jsonl],
-    the Chrome document otherwise. *)
+(** Write the trace to [path] crash-safely ({!Yashme_util.Atomic_file}):
+    JSONL when the name ends in [.jsonl], the Chrome document
+    otherwise. *)
 val write : string -> unit
