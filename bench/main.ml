@@ -244,40 +244,29 @@ let run_sample ~jobs (p : Pm_harness.Program.t) =
     b_report = o.Runner.o_report;
   }
 
-(* Best-of-N over interleaved repeats.  A fixed jobs=1-first order
-   would hand every later level a warmed allocator and memoized
-   setup — the measurement bias that made the committed speedups look
-   worse than they were — so each repeat visits every jobs level
-   before any level repeats, and the minimum elapsed per level wins. *)
+(* Best-of-N over interleaved repeats ({!Observe.Scaling.sweep}). *)
 let measure_levels ~repeats ~jobs_list (p : Pm_harness.Program.t) =
-  let best : (int, sample) Hashtbl.t = Hashtbl.create 8 in
-  for _rep = 1 to max 1 repeats do
-    List.iter
-      (fun jobs ->
-        let s = run_sample ~jobs p in
-        match Hashtbl.find_opt best jobs with
-        | Some prev
-          when prev.b_stats.Engine.elapsed_s <= s.b_stats.Engine.elapsed_s ->
-            ()
-        | Some _ | None -> Hashtbl.replace best jobs s)
-      jobs_list
-  done;
+  let best =
+    Observe.Scaling.sweep ~repeats ~levels:jobs_list
+      ~elapsed:(fun s -> s.b_stats.Engine.elapsed_s)
+      (fun ~rep:_ jobs -> run_sample ~jobs p)
+  in
   let ref_jobs = List.fold_left min max_int jobs_list in
   let ref_elapsed_s =
-    match Hashtbl.find_opt best ref_jobs with
+    match List.assoc_opt ref_jobs best with
     | Some s -> s.b_stats.Engine.elapsed_s
     | None -> 0.
   in
   List.map
-    (fun jobs ->
+    (fun (jobs, s) ->
       {
         m_name = p.Pm_harness.Program.name;
         m_jobs = jobs;
         m_ref_jobs = ref_jobs;
         m_ref_elapsed_s = ref_elapsed_s;
-        m_best = Hashtbl.find best jobs;
+        m_best = s;
       })
-    jobs_list
+    best
 
 (* Model-check a few multi-flush-point benchmarks through the engine
    across [jobs_list] and report scenario/execution/op throughput, plus

@@ -231,131 +231,252 @@ let run_label_arg =
              ordinal." in
   Arg.(value & opt (some string) None & info [ "run-label" ] ~doc ~docv:"LABEL")
 
-(* Arm the observe layer before a detection run... *)
-let observe_setup ~log_level ~coverage ~progress ~progress_out ~metrics
-    ?(attribution = false) ~trace_out ~quiet () =
-  (match log_level with
+(* ------------------------------------------------------------------ *)
+(* Telemetry: the observe flags check, check-all and soak share, and
+   the one session that arms observe, windows it around a run and
+   writes its files.                                                    *)
+
+type telemetry = {
+  metrics : bool;
+  coverage : bool;
+  coverage_out : string option;
+  attribution : bool;
+  attribution_out : string option;
+  ledger : string option;
+  run_label : string option;
+  trace_out : string option;
+  progress : bool;
+  progress_out : string option;
+  log_level : Observe.Log.level option;
+  quiet : bool;
+}
+
+let no_telemetry =
+  {
+    metrics = false;
+    coverage = false;
+    coverage_out = None;
+    attribution = false;
+    attribution_out = None;
+    ledger = None;
+    run_label = None;
+    trace_out = None;
+    progress = false;
+    progress_out = None;
+    log_level = None;
+    quiet = false;
+  }
+
+(* Soak has no --metrics, --coverage or --attribution: it collects what
+   its manifest and --ledger need and prints no blocks. *)
+let telemetry_term ~soak =
+  let block flag = if soak then Term.const false else flag in
+  Term.(
+    const
+      (fun metrics coverage coverage_out attribution attribution_out ledger
+           run_label trace_out progress progress_out log_level quiet ->
+        { metrics; coverage; coverage_out; attribution; attribution_out;
+          ledger; run_label; trace_out; progress; progress_out; log_level;
+          quiet })
+    $ block metrics_flag $ block coverage_flag $ coverage_out
+    $ block attribution_flag $ attribution_out $ ledger_arg $ run_label_arg
+    $ trace_out $ progress_flag $ progress_out $ log_level_arg $ quiet_flag)
+
+(* Show vs collect: --ledger needs metrics, coverage and attribution
+   collected for its digests and cost centers, but printing their
+   blocks stays gated on the explicit flags. *)
+let show_coverage t = t.coverage || t.coverage_out <> None
+let show_attribution t = t.attribution || t.attribution_out <> None
+
+type window = {
+  w_metrics : (string * int) list;
+  w_attribution : Observe.Attribution.row list;
+}
+
+type session = {
+  tel : telemetry;
+  metrics_on : bool;
+  coverage_on : bool;
+  attribution_on : bool;
+  start : window;
+}
+
+(* The before-snapshots of a window over the collectors that are on. *)
+let mark s =
+  {
+    w_metrics = (if s.metrics_on then Observe.Metrics.snapshot () else []);
+    w_attribution =
+      (if s.attribution_on then Observe.Attribution.snapshot () else []);
+  }
+
+let metrics_since w = Observe.Metrics.diff w.w_metrics (Observe.Metrics.snapshot ())
+
+let attribution_since w =
+  Observe.Attribution.diff w.w_attribution (Observe.Attribution.snapshot ())
+
+(* Arm the observe layer before a detection run.  [coverage] and
+   [attribution] force a collector on whatever the flags say. *)
+let open_session ?(coverage = false) ?(attribution = false) tel =
+  (match tel.log_level with
   | Some l -> Observe.Log.set_level l
-  | None -> Observe.Log.set_quiet quiet);
-  if metrics then Observe.Metrics.enable ();
-  if attribution then Observe.Attribution.enable ();
-  if coverage then begin
+  | None -> Observe.Log.set_quiet tel.quiet);
+  let s =
+    {
+      tel;
+      metrics_on = tel.metrics || tel.ledger <> None;
+      coverage_on = coverage || show_coverage tel || tel.ledger <> None;
+      attribution_on = attribution || show_attribution tel || tel.ledger <> None;
+      start = { w_metrics = []; w_attribution = [] };
+    }
+  in
+  if s.metrics_on then Observe.Metrics.enable ();
+  if s.attribution_on then Observe.Attribution.enable ();
+  if s.coverage_on then begin
     Observe.Coverage.enable ();
     Observe.Coverage.reset ()
   end;
-  if progress || progress_out <> None then
-    Observe.Progress.start ~heartbeat:progress ?jsonl:progress_out ();
-  if trace_out <> None then Observe.Trace.start ()
+  if tel.progress || tel.progress_out <> None then
+    Observe.Progress.start ~heartbeat:tel.progress ?jsonl:tel.progress_out ();
+  if tel.trace_out <> None then Observe.Trace.start ();
+  { s with start = mark s }
 
 (* Progress winds down before the report prints, so the final
    heartbeat never interleaves with findings. *)
 let finish_progress () = ignore (Observe.Progress.stop ())
 
-(* The merged coverage snapshot as JSONL: one flat object per program,
-   through Yashme_util.Json so field order and number rendering are
-   deterministic.  Written crash-safely (tmp + atomic rename) like
-   every other file the driver emits. *)
-let write_coverage_file = function
-  | None -> ()
-  | Some file ->
-      let stats = Observe.Coverage.snapshot () in
-      Yashme_util.Atomic_file.write file
-        (String.concat ""
-           (List.map
-              (fun s ->
-                Yashme_util.Json.encode_obj (Observe.Coverage.fields s) ^ "\n")
-              stats));
-      Printf.printf "coverage: %d program(s) written to %s\n" (List.length stats)
-        file
-
-let attach_coverage ~coverage ~variant (p : Pm_harness.Program.t) r =
-  if not coverage then r
-  else
+(* Attach what the session collected over [since] (default: the whole
+   session) to [p]'s report: the metrics diff, the program's coverage
+   and the attribution diff. *)
+let attach s ?(since = s.start) ~variant (p : Pm_harness.Program.t) r =
+  let r =
+    if s.metrics_on then Pm_harness.Report.with_metrics r (metrics_since since)
+    else r
+  in
+  let r =
     match
-      Observe.Coverage.find ~variant:(Px86.Variant.label variant)
-        p.Pm_harness.Program.name
+      if s.coverage_on then
+        Observe.Coverage.find ~variant:(Px86.Variant.label variant)
+          p.Pm_harness.Program.name
+      else None
     with
     | Some c -> Pm_harness.Report.with_coverage r c
     | None -> r
+  in
+  if s.attribution_on then
+    Pm_harness.Report.with_attribution r (attribution_since since)
+  else r
 
-(* The jobs-invariant attribution projection as JSONL, one flat object
-   per cost center, through Yashme_util.Json (like coverage-out).
-   Also crash-safe via tmp + atomic rename. *)
-let write_attribution_file rows = function
+(* The blocks the flags ask for, under a report. *)
+let print_blocks s r =
+  if s.tel.metrics then print_endline (Pm_harness.Report.metrics_to_string r);
+  if show_coverage s.tel then
+    print_endline (Pm_harness.Report.coverage_to_string r);
+  if show_attribution s.tel then
+    print_endline (Pm_harness.Report.attribution_to_string r)
+
+(* One flat JSON object per line through Yashme_util.Json, so field
+   order and number rendering are deterministic; crash-safe (tmp +
+   atomic rename) like every other file the driver emits. *)
+let write_jsonl file rows =
+  Yashme_util.Atomic_file.write file
+    (String.concat ""
+       (List.map (fun fs -> Yashme_util.Json.encode_obj fs ^ "\n") rows))
+
+(* --coverage-out (the merged coverage snapshot, one object per
+   program) and --attribution-out (the jobs-invariant projection of the
+   session's cost centers, one object per center). *)
+let write_files s =
+  (match s.tel.coverage_out with
   | None -> ()
   | Some file ->
-      Yashme_util.Atomic_file.write file
-        (String.concat ""
-           (List.map
-              (fun r ->
-                Yashme_util.Json.encode_obj (Observe.Attribution.fields r) ^ "\n")
-              rows));
+      let stats = Observe.Coverage.snapshot () in
+      write_jsonl file (List.map Observe.Coverage.fields stats);
+      Printf.printf "coverage: %d program(s) written to %s\n" (List.length stats)
+        file);
+  match s.tel.attribution_out with
+  | None -> ()
+  | Some file ->
+      let rows = attribution_since s.start in
+      write_jsonl file (List.map Observe.Attribution.fields rows);
       Printf.printf "attribution: %d cost center(s) written to %s\n"
         (List.length rows) file
 
-let mode_label = function
-  | `Mc -> "mc"
-  | `Mc_recovery -> "mc-recovery"
-  | `Random -> "random"
-
-(* One run-manifest line, built from what the run attached to the
-   report (metrics diff, coverage, attribution rows) plus the engine
-   stats.  [--ledger] forces all three to be collected, so the digests
-   and cost centers are always populated here. *)
-let append_ledger ~ledger ~run_label ~mode ~seed ~witnesses
-    ~(stats : Pm_harness.Engine.stats) (r : Pm_harness.Report.t) =
-  match ledger with
+(* The one run-manifest builder, for detection runs and soak alike:
+   engine-shaped stats and finding counts plus the digests and cost
+   centers the session collected ([--ledger] forces all three on).
+   [entry] runs only when a ledger was asked for. *)
+let append_ledger s entry =
+  match s.tel.ledger with
   | None -> ()
   | Some file ->
-      let entry =
-        {
-          Observe.Ledger.e_version = Observe.Ledger.version;
-          e_run =
-            Option.value run_label ~default:r.Pm_harness.Report.program;
-          e_ts = Unix.gettimeofday ();
-          e_program = r.Pm_harness.Report.program;
-          e_variant = r.Pm_harness.Report.variant;
-          e_mode = mode;
-          e_jobs = stats.Pm_harness.Engine.jobs;
-          e_seed = seed;
-          e_scenarios = stats.Pm_harness.Engine.scenarios;
-          e_completed = stats.Pm_harness.Engine.completed;
-          e_faulted = stats.Pm_harness.Engine.faulted;
-          e_diverged = stats.Pm_harness.Engine.diverged;
-          e_executions = stats.Pm_harness.Engine.executions;
-          e_ops = stats.Pm_harness.Engine.ops;
-          e_races = List.length (Pm_harness.Report.real r);
-          e_benign = List.length (Pm_harness.Report.benign r);
-          e_raw_races = r.Pm_harness.Report.raw_races;
-          e_recovery_failures =
-            List.length r.Pm_harness.Report.recovery_failures;
-          e_witnesses = witnesses;
-          e_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-          e_cpu_s = stats.Pm_harness.Engine.cpu_s;
-          e_metrics_digest =
-            Observe.Ledger.digest_counters r.Pm_harness.Report.metrics;
-          e_coverage_digest =
-            (match r.Pm_harness.Report.coverage with
-            | Some c ->
-                Observe.Ledger.digest_fields (Observe.Coverage.fields c)
-            | None -> "");
-          e_cost =
-            Observe.Ledger.costs_of_rows r.Pm_harness.Report.attribution;
-        }
-      in
-      Pm_corpus.Ledger_store.append file entry;
-      Printf.printf "ledger: run %S appended to %s\n"
-        entry.Observe.Ledger.e_run file
+      let e = entry () in
+      Pm_corpus.Ledger_store.append file e;
+      Printf.printf "ledger: run %S appended to %s\n" e.Observe.Ledger.e_run file
 
-(* ...and flush it afterwards: write the trace file, if one was asked
+let ledger_entry ~run ~program ~variant ~mode ~seed
+    ~(stats : Pm_harness.Engine.stats) ~races ~benign ~raw_races
+    ~recovery_failures ~witnesses ~metrics ~coverage_digest ~cost =
+  {
+    Observe.Ledger.e_version = Observe.Ledger.version;
+    e_run = run;
+    e_ts = Unix.gettimeofday ();
+    e_program = program;
+    e_variant = variant;
+    e_mode = mode;
+    e_jobs = stats.Pm_harness.Engine.jobs;
+    e_seed = seed;
+    e_scenarios = stats.Pm_harness.Engine.scenarios;
+    e_completed = stats.Pm_harness.Engine.completed;
+    e_faulted = stats.Pm_harness.Engine.faulted;
+    e_diverged = stats.Pm_harness.Engine.diverged;
+    e_executions = stats.Pm_harness.Engine.executions;
+    e_ops = stats.Pm_harness.Engine.ops;
+    e_races = races;
+    e_benign = benign;
+    e_raw_races = raw_races;
+    e_recovery_failures = recovery_failures;
+    e_witnesses = witnesses;
+    e_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
+    e_cpu_s = stats.Pm_harness.Engine.cpu_s;
+    e_metrics_digest = Observe.Ledger.digest_counters metrics;
+    e_coverage_digest = coverage_digest;
+    e_cost = Observe.Ledger.costs_of_rows cost;
+  }
+
+(* A detection run's entry, from what [attach] put on its report. *)
+let append_report_ledger s ~mode ~seed ~witnesses ~stats
+    (r : Pm_harness.Report.t) =
+  append_ledger s (fun () ->
+      ledger_entry
+        ~run:(Option.value s.tel.run_label ~default:r.Pm_harness.Report.program)
+        ~program:r.Pm_harness.Report.program ~variant:r.Pm_harness.Report.variant
+        ~mode ~seed ~stats
+        ~races:(List.length (Pm_harness.Report.real r))
+        ~benign:(List.length (Pm_harness.Report.benign r))
+        ~raw_races:r.Pm_harness.Report.raw_races
+        ~recovery_failures:(List.length r.Pm_harness.Report.recovery_failures)
+        ~witnesses ~metrics:r.Pm_harness.Report.metrics
+        ~coverage_digest:
+          (match r.Pm_harness.Report.coverage with
+          | Some c -> Observe.Ledger.digest_fields (Observe.Coverage.fields c)
+          | None -> "")
+        ~cost:r.Pm_harness.Report.attribution)
+
+(* ...and close it afterwards: write the trace file, if one was asked
    for. *)
-let write_trace = function
+let close_session s =
+  match s.tel.trace_out with
   | Some file ->
       Observe.Trace.stop ();
       Observe.Trace.write file;
       Printf.printf "trace: %d event(s) written to %s\n"
         (Observe.Trace.event_count ()) file
   | None -> ()
+
+let mode_label = function
+  | `Mc -> "mc"
+  | `Mc_recovery -> "mc-recovery"
+  | `Random -> "random"
 
 let print_metrics_summary ~title metrics =
   Printf.printf "%s:\n" title;
@@ -474,31 +595,14 @@ let check_cmd =
            ~doc:"Benchmark name (see $(b,yashme list)).")
   in
   let run bench run_mode dmode execs jobs seed variant show_benign eadr
-      no_coherence no_candidates metrics trace_out quiet max_ops timeout
-      fail_fast oracle corpus_out log_level coverage coverage_out progress
-      progress_out attribution attribution_out ledger run_label =
+      no_coherence no_candidates max_ops timeout fail_fast oracle corpus_out
+      tel =
     match Pm_benchmarks.Registry.find bench with
     | exception Not_found ->
         Printf.eprintf "unknown benchmark %S; try `yashme list'\n" bench;
         exit 1
     | p ->
-        (* Show vs collect: --ledger needs metrics, coverage and
-           attribution collected for its digests and cost centers, but
-           printing their blocks stays gated on the explicit flags. *)
-        let coverage_show = coverage || coverage_out <> None in
-        let att_show = attribution || attribution_out <> None in
-        let collect_metrics = metrics || ledger <> None in
-        let collect_coverage = coverage_show || ledger <> None in
-        let collect_att = att_show || ledger <> None in
-        observe_setup ~log_level ~coverage:collect_coverage ~progress
-          ~progress_out ~metrics:collect_metrics ~attribution:collect_att
-          ~trace_out ~quiet ();
-        let before =
-          if collect_metrics then Observe.Metrics.snapshot () else []
-        in
-        let att_before =
-          if collect_att then Observe.Attribution.snapshot () else []
-        in
+        let s = open_session tel in
         let o =
           outcome_program ~oracle run_mode
             (options ~eadr ~no_coherence ~no_candidates ~variant ?max_ops
@@ -506,49 +610,28 @@ let check_cmd =
             ~jobs ~fail_fast execs p
         in
         finish_progress ();
-        let r = o.Pm_harness.Runner.o_report in
-        let r =
-          if collect_metrics then
-            Pm_harness.Report.with_metrics r
-              (Observe.Metrics.diff before (Observe.Metrics.snapshot ()))
-          else r
-        in
-        let r = attach_coverage ~coverage:collect_coverage ~variant p r in
-        let r =
-          if collect_att then
-            Pm_harness.Report.with_attribution r
-              (Observe.Attribution.diff att_before
-                 (Observe.Attribution.snapshot ()))
-          else r
-        in
+        let r = attach s ~variant p o.Pm_harness.Runner.o_report in
         print_report show_benign r;
         if oracle then print_endline (Pm_harness.Report.oracle_to_string r);
-        if metrics then print_endline (Pm_harness.Report.metrics_to_string r);
-        if coverage_show then
-          print_endline (Pm_harness.Report.coverage_to_string r);
-        if att_show then
-          print_endline (Pm_harness.Report.attribution_to_string r);
-        write_coverage_file coverage_out;
-        write_attribution_file r.Pm_harness.Report.attribution attribution_out;
-        if corpus_out <> None || ledger <> None then begin
+        print_blocks s r;
+        write_files s;
+        if corpus_out <> None || tel.ledger <> None then begin
           let ex =
             Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
           in
           if corpus_out <> None then write_corpus ~corpus_out [ ex ];
-          append_ledger ~ledger ~run_label ~mode:(mode_label run_mode) ~seed
+          append_report_ledger s ~mode:(mode_label run_mode) ~seed
             ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
             ~stats:o.Pm_harness.Runner.o_stats r
         end;
-        write_trace trace_out
+        close_session s
   in
   let term =
     Term.(
       const run $ bench $ run_mode $ detector_mode $ execs $ jobs $ seed
       $ variant_arg $ show_benign $ eadr_flag $ no_coherence $ no_candidates
-      $ metrics_flag $ trace_out $ quiet_flag $ max_ops_arg $ timeout_arg
-      $ fail_fast_flag $ oracle_flag $ corpus_out $ log_level_arg
-      $ coverage_flag $ coverage_out $ progress_flag $ progress_out
-      $ attribution_flag $ attribution_out $ ledger_arg $ run_label_arg)
+      $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag $ corpus_out
+      $ telemetry_term ~soak:false)
   in
   Cmd.v (Cmd.info "check" ~doc:"Detect persistency races in one benchmark") term
 
@@ -588,93 +671,49 @@ let witness_cmd =
     term
 
 let check_all_cmd =
-  let run run_mode dmode execs jobs seed variant show_benign metrics trace_out
-      quiet max_ops timeout fail_fast oracle corpus_out log_level coverage
-      coverage_out progress progress_out attribution attribution_out ledger
-      run_label =
-    let coverage_show = coverage || coverage_out <> None in
-    let att_show = attribution || attribution_out <> None in
-    let collect_metrics = metrics || ledger <> None in
-    let collect_coverage = coverage_show || ledger <> None in
-    let collect_att = att_show || ledger <> None in
-    observe_setup ~log_level ~coverage:collect_coverage ~progress ~progress_out
-      ~metrics:collect_metrics ~attribution:collect_att ~trace_out ~quiet ();
-    let suite_before =
-      if collect_metrics then Observe.Metrics.snapshot () else []
-    in
-    let suite_att_before =
-      if collect_att then Observe.Attribution.snapshot () else []
-    in
+  let run run_mode dmode execs jobs seed variant show_benign max_ops timeout
+      fail_fast oracle corpus_out tel =
+    let s = open_session tel in
     let total = ref 0 in
     let extractions = ref [] in
     List.iter
       (fun (p : Pm_harness.Program.t) ->
-        let before =
-          if collect_metrics then Observe.Metrics.snapshot () else []
-        in
-        let att_before =
-          if collect_att then Observe.Attribution.snapshot () else []
-        in
+        let since = mark s in
         let o =
           outcome_program ~oracle run_mode
             (options ~variant ?max_ops ?max_wall_s:timeout dmode seed)
             ~jobs ~fail_fast execs p
         in
-        let r = o.Pm_harness.Runner.o_report in
-        let r =
-          if collect_metrics then
-            Pm_harness.Report.with_metrics r
-              (Observe.Metrics.diff before (Observe.Metrics.snapshot ()))
-          else r
-        in
-        let r = attach_coverage ~coverage:collect_coverage ~variant p r in
-        let r =
-          if collect_att then
-            Pm_harness.Report.with_attribution r
-              (Observe.Attribution.diff att_before
-                 (Observe.Attribution.snapshot ()))
-          else r
-        in
-        if corpus_out <> None || ledger <> None then begin
+        let r = attach s ~since ~variant p o.Pm_harness.Runner.o_report in
+        if corpus_out <> None || tel.ledger <> None then begin
           let ex =
             Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
           in
           if corpus_out <> None then extractions := ex :: !extractions;
-          append_ledger ~ledger ~run_label ~mode:(mode_label run_mode) ~seed
+          append_report_ledger s ~mode:(mode_label run_mode) ~seed
             ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
             ~stats:o.Pm_harness.Runner.o_stats r
         end;
         total := !total + List.length (Pm_harness.Report.real r);
         print_report show_benign r;
         if oracle then print_endline (Pm_harness.Report.oracle_to_string r);
-        if metrics then print_endline (Pm_harness.Report.metrics_to_string r);
-        if coverage_show then
-          print_endline (Pm_harness.Report.coverage_to_string r);
-        if att_show then
-          print_endline (Pm_harness.Report.attribution_to_string r);
+        print_blocks s r;
         print_newline ())
       Pm_benchmarks.Registry.all;
     finish_progress ();
     Printf.printf "total distinct persistency races: %d\n" !total;
     write_corpus ~corpus_out (List.rev !extractions);
-    write_coverage_file coverage_out;
-    if attribution_out <> None then
-      write_attribution_file
-        (Observe.Attribution.diff suite_att_before
-           (Observe.Attribution.snapshot ()))
-        attribution_out;
-    if metrics then
+    write_files s;
+    if tel.metrics then
       print_metrics_summary ~title:"metrics summary (whole suite)"
-        (Observe.Metrics.diff suite_before (Observe.Metrics.snapshot ()));
-    write_trace trace_out
+        (metrics_since s.start);
+    close_session s
   in
   let term =
     Term.(
       const run $ run_mode $ detector_mode $ execs $ jobs $ seed $ variant_arg
-      $ show_benign $ metrics_flag $ trace_out $ quiet_flag $ max_ops_arg
-      $ timeout_arg $ fail_fast_flag $ oracle_flag $ corpus_out $ log_level_arg
-      $ coverage_flag $ coverage_out $ progress_flag $ progress_out
-      $ attribution_flag $ attribution_out $ ledger_arg $ run_label_arg)
+      $ show_benign $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag
+      $ corpus_out $ telemetry_term ~soak:false)
   in
   Cmd.v (Cmd.info "check-all" ~doc:"Detect persistency races across the whole suite") term
 
@@ -934,8 +973,7 @@ let scaling_cmd =
                   exit 2)
             names
     in
-    observe_setup ~log_level ~coverage:false ~progress:false ~progress_out:None
-      ~metrics:false ~attribution:true ~trace_out:None ~quiet ();
+    let s = open_session ~attribution:true { no_telemetry with quiet; log_level } in
     let opts = { Pm_harness.Runner.default_options with seed; variant } in
     let top = List.fold_left max 1 levels_asked in
     let last_timeline = ref None in
@@ -943,11 +981,9 @@ let scaling_cmd =
        traced runs additionally reconstruct the per-domain timeline. *)
     let run_level ~trace (p : Pm_harness.Program.t) jobs =
       if trace then Observe.Trace.start ();
-      let att0 = Observe.Attribution.snapshot () in
+      let since = mark s in
       let o = Pm_harness.Runner.model_check_outcome ~options:opts ~jobs p in
-      let att =
-        Observe.Attribution.diff att0 (Observe.Attribution.snapshot ())
-      in
+      let att = attribution_since since in
       if trace then begin
         Observe.Trace.stop ();
         let events = Observe.Trace.events () in
@@ -998,26 +1034,17 @@ let scaling_cmd =
     List.iter
       (fun (p : Pm_harness.Program.t) ->
         let name = p.Pm_harness.Program.name in
-        (* Interleaved best-of-N, like the bench: each pass visits every
-           level before any level repeats, so no level systematically
-           runs cold.  The top level of the first pass is traced for
-           the timeline artifacts. *)
-        let best : (int, Observe.Scaling.level) Hashtbl.t = Hashtbl.create 8 in
-        for rep = 1 to max 1 repeats do
-          List.iter
-            (fun jobs ->
-              let trace = rep = 1 && jobs = top && (timeline || svg_file <> None) in
-              let l = run_level ~trace p jobs in
-              match Hashtbl.find_opt best jobs with
-              | Some prev
-                when prev.Observe.Scaling.v_elapsed_s
-                     <= l.Observe.Scaling.v_elapsed_s ->
-                  ()
-              | Some _ | None -> Hashtbl.replace best jobs l)
-            levels_asked
-        done;
+        (* Interleaved best-of-N, like the bench.  The top level of the
+           first pass is traced for the timeline artifacts. *)
         let levels =
-          List.map (fun jobs -> Hashtbl.find best jobs) levels_asked
+          List.map snd
+            (Observe.Scaling.sweep ~repeats ~levels:levels_asked
+               ~elapsed:(fun l -> l.Observe.Scaling.v_elapsed_s)
+               (fun ~rep jobs ->
+                 let trace =
+                   rep = 1 && jobs = top && (timeline || svg_file <> None)
+                 in
+                 run_level ~trace p jobs))
         in
         (match Observe.Scaling.check ~program:name levels with
         | Ok () -> ()
@@ -1034,13 +1061,9 @@ let scaling_cmd =
             print_newline ();
             List.iter
               (fun pair ->
-                rows :=
-                  Yashme_util.Json.encode_obj
-                    (Observe.Scaling.fields ~program:name pair)
-                  :: !rows;
+                rows := Observe.Scaling.fields ~program:name pair :: !rows;
                 projection_rows :=
-                  Yashme_util.Json.encode_obj
-                    (Observe.Scaling.fields ~timing:false ~program:name pair)
+                  Observe.Scaling.fields ~timing:false ~program:name pair
                   :: !projection_rows)
               a.Observe.Scaling.a_levels)
       programs;
@@ -1048,8 +1071,7 @@ let scaling_cmd =
       match file with
       | None -> ()
       | Some file ->
-          Yashme_util.Atomic_file.write file
-            (String.concat "" (List.rev_map (fun l -> l ^ "\n") lines));
+          write_jsonl file (List.rev lines);
           Printf.printf "%s: %d row(s) written to %s\n" what
             (List.length lines) file
     in
@@ -1481,20 +1503,13 @@ let soak_cmd =
   in
   let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops
       ~wall_s ~checkpoint_every ~manifest_path ~corpus_path ~resume_snapshot
-      ~preload ~stop_after ~oracle ~quiet ~log_level ~progress ~progress_out
-      ~coverage_out ~attribution_out ~ledger ~run_label ~trace_out =
-    let collect_metrics = ledger <> None in
-    let collect_att = attribution_out <> None || ledger <> None in
-    observe_setup ~log_level ~coverage:true ~progress ~progress_out
-      ~metrics:collect_metrics ~attribution:collect_att ~trace_out ~quiet ();
-    let before = if collect_metrics then Observe.Metrics.snapshot () else [] in
-    let att_before =
-      if collect_att then Observe.Attribution.snapshot () else []
-    in
+      ~preload ~stop_after ~oracle ~tel =
+    (* The manifest's coverage digest needs coverage on in every run. *)
+    let s = open_session ~coverage:true tel in
     let sink = Pm_corpus.Soak_store.sink () in
     Pm_corpus.Soak_store.preload sink preload;
     let run_name =
-      Option.value run_label
+      Option.value tel.run_label
         ~default:("soak:" ^ String.concat "," (stream_names streams))
     in
     let cfg =
@@ -1618,58 +1633,33 @@ let soak_cmd =
     | Some file -> Printf.printf "manifest: %s\n" file
     | None -> ());
     Printf.printf "soak_ok: %b\n" result.Pm_harness.Soak.r_ok;
-    write_coverage_file coverage_out;
-    if collect_att then
-      write_attribution_file
-        (Observe.Attribution.diff att_before (Observe.Attribution.snapshot ()))
-        attribution_out;
-    (match ledger with
-    | None -> ()
-    | Some file ->
-        let entry =
-          {
-            Observe.Ledger.e_version = Observe.Ledger.version;
-            e_run = run_name;
-            e_ts = Unix.gettimeofday ();
-            e_program = run_name;
-            e_variant = Px86.Variant.label variant;
-            e_mode = "soak";
-            e_jobs = jobs;
-            e_seed = seed;
-            e_scenarios = snap.Pm_harness.Soak.snap_scenarios;
-            e_completed = snap.Pm_harness.Soak.snap_completed;
-            e_faulted = snap.Pm_harness.Soak.snap_faulted;
-            e_diverged = snap.Pm_harness.Soak.snap_diverged;
-            e_executions = snap.Pm_harness.Soak.snap_executions;
-            e_ops = snap.Pm_harness.Soak.snap_ops;
-            e_races = race_ws;
-            e_benign = 0;
-            e_raw_races = snap.Pm_harness.Soak.snap_races;
-            e_recovery_failures = rf_ws;
-            e_witnesses = List.length ws;
-            e_elapsed_s = result.Pm_harness.Soak.r_elapsed_s;
-            e_cpu_s = 0.;
-            e_metrics_digest =
-              Observe.Ledger.digest_counters
-                (Observe.Metrics.diff before (Observe.Metrics.snapshot ()));
-            e_coverage_digest = coverage_digest ();
-            e_cost =
-              Observe.Ledger.costs_of_rows
-                (if collect_att then
-                   Observe.Attribution.diff att_before
-                     (Observe.Attribution.snapshot ())
-                 else []);
-          }
-        in
-        Pm_corpus.Ledger_store.append file entry;
-        Printf.printf "ledger: run %S appended to %s\n" run_name file);
-    write_trace trace_out;
+    write_files s;
+    append_ledger s (fun () ->
+        ledger_entry ~run:run_name ~program:run_name
+          ~variant:(Px86.Variant.label variant) ~mode:"soak" ~seed
+          ~stats:
+            {
+              Pm_harness.Engine.jobs;
+              scenarios = snap.Pm_harness.Soak.snap_scenarios;
+              completed = snap.Pm_harness.Soak.snap_completed;
+              faulted = snap.Pm_harness.Soak.snap_faulted;
+              diverged = snap.Pm_harness.Soak.snap_diverged;
+              cancelled = 0;
+              executions = snap.Pm_harness.Soak.snap_executions;
+              ops = snap.Pm_harness.Soak.snap_ops;
+              cpu_s = 0.;
+              elapsed_s = result.Pm_harness.Soak.r_elapsed_s;
+            }
+          ~races:race_ws ~benign:0 ~raw_races:snap.Pm_harness.Soak.snap_races
+          ~recovery_failures:rf_ws ~witnesses:(List.length ws)
+          ~metrics:(metrics_since s.start) ~coverage_digest:(coverage_digest ())
+          ~cost:(attribution_since s.start));
+    close_session s;
     if not result.Pm_harness.Soak.r_ok then exit 1
   in
   let run streams_pos seed jobs variant max_ops wall_s fault_budget
       ops_per_exec checkpoint_every manifest_path resume stop_after oracle
-      corpus_out quiet log_level progress progress_out coverage_out
-      attribution_out ledger run_label trace_out =
+      corpus_out tel =
     match resume with
     | None ->
         let names =
@@ -1680,8 +1670,7 @@ let soak_cmd =
         go ~streams:(resolve_streams names) ~seed ~variant ~jobs ~ops_per_exec
           ~fault_budget ~max_ops ~wall_s ~checkpoint_every ~manifest_path
           ~corpus_path:corpus_out ~resume_snapshot:None ~preload:[] ~stop_after
-          ~oracle ~quiet ~log_level ~progress ~progress_out ~coverage_out
-          ~attribution_out ~ledger ~run_label ~trace_out
+          ~oracle ~tel
     | Some mf_path -> (
         match Pm_corpus.Soak_store.load mf_path with
         | Error msg ->
@@ -1721,19 +1710,15 @@ let soak_cmd =
                 (if m.Pm_corpus.Soak_store.m_corpus = "" then corpus_out
                  else Some m.Pm_corpus.Soak_store.m_corpus)
               ~resume_snapshot:(Some m.Pm_corpus.Soak_store.m_snapshot)
-              ~preload ~stop_after ~oracle ~quiet ~log_level ~progress
-              ~progress_out ~coverage_out ~attribution_out ~ledger
-              ~run_label:(Some m.Pm_corpus.Soak_store.m_run)
-              ~trace_out)
+              ~preload ~stop_after ~oracle
+              ~tel:{ tel with run_label = Some m.Pm_corpus.Soak_store.m_run })
   in
   let term =
     Term.(
       const run $ streams_pos $ seed $ jobs $ variant_arg $ soak_max_ops
       $ wall_s_arg $ fault_budget_arg $ ops_per_exec_arg
       $ checkpoint_every_arg $ manifest_arg $ resume_arg $ stop_after_arg
-      $ oracle_flag $ corpus_out $ quiet_flag $ log_level_arg $ progress_flag
-      $ progress_out $ coverage_out $ attribution_out $ ledger_arg
-      $ run_label_arg $ trace_out)
+      $ oracle_flag $ corpus_out $ telemetry_term ~soak:true)
   in
   Cmd.v
     (Cmd.info "soak"

@@ -35,6 +35,20 @@ type level = {
     window; absent centers read as zero. *)
 val of_attribution : Attribution.row list -> int * int * int * int * int * int
 
+(** The one jobs-sweep driver, shared by [yashme scaling] and the bench:
+    [sweep ~repeats ~levels ~elapsed run] makes [repeats] (at least one)
+    interleaved passes, each calling [run ~rep jobs] once per level
+    before any level repeats, so no level systematically runs cold or
+    warm.  Per level it keeps the result with the least [elapsed] (the
+    earliest among ties) and returns [(jobs, best)] in [levels]
+    order. *)
+val sweep :
+  repeats:int ->
+  levels:int list ->
+  elapsed:('a -> float) ->
+  (rep:int -> int -> 'a) ->
+  (int * 'a) list
+
 type derived = {
   d_speedup : float;  (** T_ref / T_n *)
   d_efficiency : float;  (** speedup / (jobs / reference jobs) *)
