@@ -201,12 +201,11 @@ module Engine = Pm_harness.Engine
    the JSON line and the optional run ledger. *)
 type sample = {
   b_stats : Engine.stats;
-  b_diff : (string * int) list;  (* metrics diff around the run *)
-  b_att : Observe.Attribution.row list;  (* cost centers, same window *)
   b_gc_minor : int;  (* Gc.quick_stat word deltas, same window *)
   b_gc_major : int;
   b_extract : Pm_corpus.Witness.extraction;
   b_report : Report.t;
+      (* carries the metrics diff and cost centers of the run's window *)
 }
 
 (* One emitted row: the best-of-N sample at one jobs level, with the
@@ -236,12 +235,14 @@ let run_sample ~jobs (p : Pm_harness.Program.t) =
   let e = Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o in
   {
     b_stats = o.Runner.o_stats;
-    b_diff = Observe.Metrics.diff before (Observe.Metrics.snapshot ());
-    b_att = Observe.Attribution.diff att_before (Observe.Attribution.snapshot ());
     b_gc_minor = int_of_float (gc1.Gc.minor_words -. gc0.Gc.minor_words);
     b_gc_major = int_of_float (gc1.Gc.major_words -. gc0.Gc.major_words);
     b_extract = e;
-    b_report = o.Runner.o_report;
+    b_report =
+      Report.with_attribution
+        (Report.with_metrics o.Runner.o_report
+           (Observe.Metrics.diff before (Observe.Metrics.snapshot ())))
+        (Observe.Attribution.diff att_before (Observe.Attribution.snapshot ()));
   }
 
 (* Best-of-N over interleaved repeats ({!Observe.Scaling.sweep}). *)
@@ -340,7 +341,7 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
       (fun m ->
         let sn = m.m_best.b_stats in
         let e = m.m_best.b_extract in
-        let c = counter_of m.m_best.b_diff in
+        let c = counter_of m.m_best.b_report.Report.metrics in
         let dedup_rate =
           if e.Pm_corpus.Witness.raw = 0 then 0.0
           else
@@ -403,38 +404,12 @@ let engine_throughput ~jobs_list ~repeats ~sweep ~out ?ledger () =
   | Some file ->
       List.iter
         (fun m ->
-          let sn = m.m_best.b_stats in
-          let r = m.m_best.b_report in
-          let entry =
-            {
-              Observe.Ledger.e_version = Observe.Ledger.version;
-              e_run = m.m_name;
-              e_ts = Unix.gettimeofday ();
-              e_program = m.m_name;
-              e_variant = Px86.Variant.default_label;
-              e_mode = "bench";
-              e_jobs = sn.Engine.jobs;
-              e_seed = Runner.default_options.Runner.seed;
-              e_scenarios = sn.Engine.scenarios;
-              e_completed = sn.Engine.completed;
-              e_faulted = sn.Engine.faulted;
-              e_diverged = sn.Engine.diverged;
-              e_executions = sn.Engine.executions;
-              e_ops = sn.Engine.ops;
-              e_races = List.length (Report.real r);
-              e_benign = List.length (Report.benign r);
-              e_raw_races = r.Report.raw_races;
-              e_recovery_failures = List.length r.Report.recovery_failures;
-              e_witnesses =
-                List.length m.m_best.b_extract.Pm_corpus.Witness.witnesses;
-              e_elapsed_s = sn.Engine.elapsed_s;
-              e_cpu_s = sn.Engine.cpu_s;
-              e_metrics_digest = Observe.Ledger.digest_counters m.m_best.b_diff;
-              e_coverage_digest = "";
-              e_cost = Observe.Ledger.costs_of_rows m.m_best.b_att;
-            }
-          in
-          Pm_corpus.Ledger_store.append file entry)
+          Pm_corpus.Ledger_store.append file
+            (Pm_corpus.Ledger_store.of_report ~run:m.m_name ~mode:"bench"
+               ~seed:Runner.default_options.Runner.seed
+               ~witnesses:
+                 (List.length m.m_best.b_extract.Pm_corpus.Witness.witnesses)
+               ~stats:m.m_best.b_stats m.m_best.b_report))
         measured;
       Printf.printf "ledger: %d bench run(s) appended to %s\n"
         (List.length measured) file

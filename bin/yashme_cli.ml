@@ -251,26 +251,15 @@ type telemetry = {
   quiet : bool;
 }
 
-let no_telemetry =
-  {
-    metrics = false;
-    coverage = false;
-    coverage_out = None;
-    attribution = false;
-    attribution_out = None;
-    ledger = None;
-    run_label = None;
-    trace_out = None;
-    progress = false;
-    progress_out = None;
-    log_level = None;
-    quiet = false;
-  }
-
-(* Soak has no --metrics, --coverage or --attribution: it collects what
-   its manifest and --ledger need and prints no blocks. *)
-let telemetry_term ~soak =
-  let block flag = if soak then Term.const false else flag in
+(* check and check-all take every telemetry flag.  Soak has no
+   --metrics, --coverage or --attribution: it collects what its manifest
+   and --ledger need and prints no blocks.  Scaling only sets the log
+   level. *)
+let telemetry_term which =
+  let only cmds arg default =
+    if List.mem which cmds then arg else Term.const default
+  in
+  let check = [ `Check ] and files = [ `Check; `Soak ] in
   Term.(
     const
       (fun metrics coverage coverage_out attribution attribution_out ledger
@@ -278,66 +267,53 @@ let telemetry_term ~soak =
         { metrics; coverage; coverage_out; attribution; attribution_out;
           ledger; run_label; trace_out; progress; progress_out; log_level;
           quiet })
-    $ block metrics_flag $ block coverage_flag $ coverage_out
-    $ block attribution_flag $ attribution_out $ ledger_arg $ run_label_arg
-    $ trace_out $ progress_flag $ progress_out $ log_level_arg $ quiet_flag)
+    $ only check metrics_flag false $ only check coverage_flag false
+    $ only files coverage_out None $ only check attribution_flag false
+    $ only files attribution_out None $ only files ledger_arg None
+    $ only files run_label_arg None $ only files trace_out None
+    $ only files progress_flag false $ only files progress_out None
+    $ log_level_arg $ quiet_flag)
 
 (* Show vs collect: --ledger needs metrics, coverage and attribution
    collected for its digests and cost centers, but printing their
    blocks stays gated on the explicit flags. *)
 let show_coverage t = t.coverage || t.coverage_out <> None
 let show_attribution t = t.attribution || t.attribution_out <> None
+let metrics_on t = t.metrics || t.ledger <> None
+let coverage_on t = show_coverage t || t.ledger <> None
+let attribution_on t = show_attribution t || t.ledger <> None
 
-type window = {
-  w_metrics : (string * int) list;
-  w_attribution : Observe.Attribution.row list;
-}
+(* The before-snapshots of a window: metrics, attribution. *)
+type window = (string * int) list * Observe.Attribution.row list
 
-type session = {
-  tel : telemetry;
-  metrics_on : bool;
-  coverage_on : bool;
-  attribution_on : bool;
-  start : window;
-}
+type session = { tel : telemetry; start : window }
 
-(* The before-snapshots of a window over the collectors that are on. *)
-let mark s =
-  {
-    w_metrics = (if s.metrics_on then Observe.Metrics.snapshot () else []);
-    w_attribution =
-      (if s.attribution_on then Observe.Attribution.snapshot () else []);
-  }
+let mark s : window =
+  ( (if metrics_on s.tel then Observe.Metrics.snapshot () else []),
+    if attribution_on s.tel then Observe.Attribution.snapshot () else [] )
 
-let metrics_since w = Observe.Metrics.diff w.w_metrics (Observe.Metrics.snapshot ())
+let metrics_since ((m, _) : window) =
+  Observe.Metrics.diff m (Observe.Metrics.snapshot ())
 
-let attribution_since w =
-  Observe.Attribution.diff w.w_attribution (Observe.Attribution.snapshot ())
+let attribution_since ((_, a) : window) =
+  Observe.Attribution.diff a (Observe.Attribution.snapshot ())
 
-(* Arm the observe layer before a detection run.  [coverage] and
-   [attribution] force a collector on whatever the flags say. *)
-let open_session ?(coverage = false) ?(attribution = false) tel =
+(* Arm the observe layer before a run and take the session's
+   before-snapshots. *)
+let open_session tel =
   (match tel.log_level with
   | Some l -> Observe.Log.set_level l
   | None -> Observe.Log.set_quiet tel.quiet);
-  let s =
-    {
-      tel;
-      metrics_on = tel.metrics || tel.ledger <> None;
-      coverage_on = coverage || show_coverage tel || tel.ledger <> None;
-      attribution_on = attribution || show_attribution tel || tel.ledger <> None;
-      start = { w_metrics = []; w_attribution = [] };
-    }
-  in
-  if s.metrics_on then Observe.Metrics.enable ();
-  if s.attribution_on then Observe.Attribution.enable ();
-  if s.coverage_on then begin
+  if metrics_on tel then Observe.Metrics.enable ();
+  if attribution_on tel then Observe.Attribution.enable ();
+  if coverage_on tel then begin
     Observe.Coverage.enable ();
     Observe.Coverage.reset ()
   end;
   if tel.progress || tel.progress_out <> None then
     Observe.Progress.start ~heartbeat:tel.progress ?jsonl:tel.progress_out ();
   if tel.trace_out <> None then Observe.Trace.start ();
+  let s = { tel; start = ([], []) } in
   { s with start = mark s }
 
 (* Progress winds down before the report prints, so the final
@@ -349,12 +325,12 @@ let finish_progress () = ignore (Observe.Progress.stop ())
    and the attribution diff. *)
 let attach s ?(since = s.start) ~variant (p : Pm_harness.Program.t) r =
   let r =
-    if s.metrics_on then Pm_harness.Report.with_metrics r (metrics_since since)
+    if metrics_on s.tel then Pm_harness.Report.with_metrics r (metrics_since since)
     else r
   in
   let r =
     match
-      if s.coverage_on then
+      if coverage_on s.tel then
         Observe.Coverage.find ~variant:(Px86.Variant.label variant)
           p.Pm_harness.Program.name
       else None
@@ -362,7 +338,7 @@ let attach s ?(since = s.start) ~variant (p : Pm_harness.Program.t) r =
     | Some c -> Pm_harness.Report.with_coverage r c
     | None -> r
   in
-  if s.attribution_on then
+  if attribution_on s.tel then
     Pm_harness.Report.with_attribution r (attribution_since since)
   else r
 
@@ -401,10 +377,9 @@ let write_files s =
       Printf.printf "attribution: %d cost center(s) written to %s\n"
         (List.length rows) file
 
-(* The one run-manifest builder, for detection runs and soak alike:
-   engine-shaped stats and finding counts plus the digests and cost
-   centers the session collected ([--ledger] forces all three on).
-   [entry] runs only when a ledger was asked for. *)
+(* Append the entry [entry] builds (with {!Pm_corpus.Ledger_store}'s
+   one builder) to --ledger, if one was asked for; the session forced
+   metrics, coverage and attribution on for it. *)
 let append_ledger s entry =
   match s.tel.ledger with
   | None -> ()
@@ -413,54 +388,12 @@ let append_ledger s entry =
       Pm_corpus.Ledger_store.append file e;
       Printf.printf "ledger: run %S appended to %s\n" e.Observe.Ledger.e_run file
 
-let ledger_entry ~run ~program ~variant ~mode ~seed
-    ~(stats : Pm_harness.Engine.stats) ~races ~benign ~raw_races
-    ~recovery_failures ~witnesses ~metrics ~coverage_digest ~cost =
-  {
-    Observe.Ledger.e_version = Observe.Ledger.version;
-    e_run = run;
-    e_ts = Unix.gettimeofday ();
-    e_program = program;
-    e_variant = variant;
-    e_mode = mode;
-    e_jobs = stats.Pm_harness.Engine.jobs;
-    e_seed = seed;
-    e_scenarios = stats.Pm_harness.Engine.scenarios;
-    e_completed = stats.Pm_harness.Engine.completed;
-    e_faulted = stats.Pm_harness.Engine.faulted;
-    e_diverged = stats.Pm_harness.Engine.diverged;
-    e_executions = stats.Pm_harness.Engine.executions;
-    e_ops = stats.Pm_harness.Engine.ops;
-    e_races = races;
-    e_benign = benign;
-    e_raw_races = raw_races;
-    e_recovery_failures = recovery_failures;
-    e_witnesses = witnesses;
-    e_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-    e_cpu_s = stats.Pm_harness.Engine.cpu_s;
-    e_metrics_digest = Observe.Ledger.digest_counters metrics;
-    e_coverage_digest = coverage_digest;
-    e_cost = Observe.Ledger.costs_of_rows cost;
-  }
-
-(* A detection run's entry, from what [attach] put on its report. *)
 let append_report_ledger s ~mode ~seed ~witnesses ~stats
     (r : Pm_harness.Report.t) =
   append_ledger s (fun () ->
-      ledger_entry
+      Pm_corpus.Ledger_store.of_report
         ~run:(Option.value s.tel.run_label ~default:r.Pm_harness.Report.program)
-        ~program:r.Pm_harness.Report.program ~variant:r.Pm_harness.Report.variant
-        ~mode ~seed ~stats
-        ~races:(List.length (Pm_harness.Report.real r))
-        ~benign:(List.length (Pm_harness.Report.benign r))
-        ~raw_races:r.Pm_harness.Report.raw_races
-        ~recovery_failures:(List.length r.Pm_harness.Report.recovery_failures)
-        ~witnesses ~metrics:r.Pm_harness.Report.metrics
-        ~coverage_digest:
-          (match r.Pm_harness.Report.coverage with
-          | Some c -> Observe.Ledger.digest_fields (Observe.Coverage.fields c)
-          | None -> "")
-        ~cost:r.Pm_harness.Report.attribution)
+        ~mode ~seed ~witnesses ~stats r)
 
 (* ...and close it afterwards: write the trace file, if one was asked
    for. *)
@@ -631,7 +564,7 @@ let check_cmd =
       const run $ bench $ run_mode $ detector_mode $ execs $ jobs $ seed
       $ variant_arg $ show_benign $ eadr_flag $ no_coherence $ no_candidates
       $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag $ corpus_out
-      $ telemetry_term ~soak:false)
+      $ telemetry_term `Check)
   in
   Cmd.v (Cmd.info "check" ~doc:"Detect persistency races in one benchmark") term
 
@@ -713,7 +646,7 @@ let check_all_cmd =
     Term.(
       const run $ run_mode $ detector_mode $ execs $ jobs $ seed $ variant_arg
       $ show_benign $ max_ops_arg $ timeout_arg $ fail_fast_flag $ oracle_flag
-      $ corpus_out $ telemetry_term ~soak:false)
+      $ corpus_out $ telemetry_term `Check)
   in
   Cmd.v (Cmd.info "check-all" ~doc:"Detect persistency races across the whole suite") term
 
@@ -945,7 +878,7 @@ let scaling_cmd =
     Arg.(value & flag & info [ "timeline" ] ~doc)
   in
   let run progs jobs_list repeats seed variant out projection_out svg_file
-      timeline quiet log_level =
+      timeline tel =
     let levels_asked =
       List.sort_uniq compare
         (List.filter_map
@@ -973,7 +906,7 @@ let scaling_cmd =
                   exit 2)
             names
     in
-    let s = open_session ~attribution:true { no_telemetry with quiet; log_level } in
+    let s = open_session { tel with attribution = true } in
     let opts = { Pm_harness.Runner.default_options with seed; variant } in
     let top = List.fold_left max 1 levels_asked in
     let last_timeline = ref None in
@@ -1090,8 +1023,8 @@ let scaling_cmd =
   let term =
     Term.(
       const run $ progs $ jobs_list_arg $ repeats_arg $ seed $ variant_arg
-      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag $ quiet_flag
-      $ log_level_arg)
+      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag
+      $ telemetry_term `Scaling)
   in
   Cmd.v
     (Cmd.info "scaling"
@@ -1504,8 +1437,8 @@ let soak_cmd =
   let go ~streams ~seed ~variant ~jobs ~ops_per_exec ~fault_budget ~max_ops
       ~wall_s ~checkpoint_every ~manifest_path ~corpus_path ~resume_snapshot
       ~preload ~stop_after ~oracle ~tel =
-    (* The manifest's coverage digest needs coverage on in every run. *)
-    let s = open_session ~coverage:true tel in
+    (* The manifest's coverage digest needs coverage in every run. *)
+    let s = open_session { tel with coverage = true } in
     let sink = Pm_corpus.Soak_store.sink () in
     Pm_corpus.Soak_store.preload sink preload;
     let run_name =
@@ -1635,7 +1568,7 @@ let soak_cmd =
     Printf.printf "soak_ok: %b\n" result.Pm_harness.Soak.r_ok;
     write_files s;
     append_ledger s (fun () ->
-        ledger_entry ~run:run_name ~program:run_name
+        Pm_corpus.Ledger_store.entry ~run:run_name ~program:run_name
           ~variant:(Px86.Variant.label variant) ~mode:"soak" ~seed
           ~stats:
             {
@@ -1718,7 +1651,7 @@ let soak_cmd =
       const run $ streams_pos $ seed $ jobs $ variant_arg $ soak_max_ops
       $ wall_s_arg $ fault_budget_arg $ ops_per_exec_arg
       $ checkpoint_every_arg $ manifest_arg $ resume_arg $ stop_after_arg
-      $ oracle_flag $ corpus_out $ telemetry_term ~soak:true)
+      $ oracle_flag $ corpus_out $ telemetry_term `Soak)
   in
   Cmd.v
     (Cmd.info "soak"

@@ -14,6 +14,49 @@ module Ledger = Observe.Ledger
 let append path e =
   Yashme_util.Atomic_file.append_line path (Json.encode_obj (Ledger.fields e))
 
+let entry ~run ~program ~variant ~mode ~seed ~(stats : Pm_harness.Engine.stats)
+    ~races ~benign ~raw_races ~recovery_failures ~witnesses ~metrics
+    ~coverage_digest ~cost =
+  {
+    Ledger.e_version = Ledger.version;
+    e_run = run;
+    e_ts = Unix.gettimeofday ();
+    e_program = program;
+    e_variant = variant;
+    e_mode = mode;
+    e_jobs = stats.jobs;
+    e_seed = seed;
+    e_scenarios = stats.scenarios;
+    e_completed = stats.completed;
+    e_faulted = stats.faulted;
+    e_diverged = stats.diverged;
+    e_executions = stats.executions;
+    e_ops = stats.ops;
+    e_races = races;
+    e_benign = benign;
+    e_raw_races = raw_races;
+    e_recovery_failures = recovery_failures;
+    e_witnesses = witnesses;
+    e_elapsed_s = stats.elapsed_s;
+    e_cpu_s = stats.cpu_s;
+    e_metrics_digest = Ledger.digest_counters metrics;
+    e_coverage_digest = coverage_digest;
+    e_cost = Ledger.costs_of_rows cost;
+  }
+
+let of_report ~run ~mode ~seed ~witnesses ~stats (r : Pm_harness.Report.t) =
+  entry ~run ~program:r.program ~variant:r.variant ~mode ~seed ~stats
+    ~races:(List.length (Pm_harness.Report.real r))
+    ~benign:(List.length (Pm_harness.Report.benign r))
+    ~raw_races:r.raw_races
+    ~recovery_failures:(List.length r.recovery_failures)
+    ~witnesses ~metrics:r.metrics
+    ~coverage_digest:
+      (match r.coverage with
+      | Some c -> Ledger.digest_fields (Observe.Coverage.fields c)
+      | None -> "")
+    ~cost:r.attribution
+
 let load path =
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e

@@ -12,6 +12,24 @@
     a truncated ledger. *)
 val append : string -> Observe.Ledger.entry -> unit
 
+(** The one run-manifest builder, for detection runs, soak runs and
+    bench rows alike: engine stats and finding counts, the digest of a
+    metrics diff and the cost centers of an attribution diff, stamped
+    with the current time. *)
+val entry :
+  run:string -> program:string -> variant:string -> mode:string -> seed:int ->
+  stats:Pm_harness.Engine.stats -> races:int -> benign:int -> raw_races:int ->
+  recovery_failures:int -> witnesses:int -> metrics:(string * int) list ->
+  coverage_digest:string -> cost:Observe.Attribution.row list ->
+  Observe.Ledger.entry
+
+(** A detection run's entry: finding counts from the report, and the
+    metrics, coverage and attribution attached to it (a report without
+    coverage digests as [""]). *)
+val of_report :
+  run:string -> mode:string -> seed:int -> witnesses:int ->
+  stats:Pm_harness.Engine.stats -> Pm_harness.Report.t -> Observe.Ledger.entry
+
 (** Read and decode a ledger file.  Errors carry the 1-based physical
     line position (["line N: ..."], blank lines counted); an empty file is an error (a ledger you
     can list must have at least one run), and a line with a version

@@ -24,7 +24,10 @@
    branch until [enable], and nothing here feeds back into the engine:
    attribution on vs off never changes a race report. *)
 
-include Registry.Switch ()
+let enabled = Atomic.make false
+let enable () = Atomic.set enabled true
+let disable () = Atomic.set enabled false
+let is_enabled () = Atomic.get enabled
 
 type center = Registry.entry
 
@@ -37,14 +40,14 @@ let center ?units ?volatile_units name =
 let center_name = Registry.name
 
 let charge c ?(count = 1) ?(units = 0) ?(wall_us = 0) () =
-  if Atomic.get on then begin
+  if Atomic.get enabled then begin
     let slot = Registry.slot () in
     if count <> 0 then Registry.add_in c ~slot Registry.count count;
     if units <> 0 then Registry.add_in c ~slot Registry.units units;
     if wall_us > 0 then Registry.add_in c ~slot Registry.wall wall_us
   end
 
-let tick c = if Atomic.get on then Registry.add c Registry.count 1
+let tick c = if Atomic.get enabled then Registry.add c Registry.count 1
 
 (* ------------------------------------------------------------------ *)
 (* Merge-on-read rows                                                   *)
@@ -77,9 +80,7 @@ let to_registry r =
     cells = [| r.r_count; r.r_units; r.r_wall_us |];
   }
 
-let is_center = function
-  | Registry.Center -> true
-  | Registry.Counter | Registry.Histogram -> false
+let is_center kind = kind = Registry.Center
 
 (* Registered-but-uncharged centers are dropped (the registry's diff
    against nothing) so the table only names cost centers the run
@@ -127,20 +128,12 @@ let pp ?(timing = true) ppf rows =
     if wall then [ "cost center"; "count"; "charged"; "wall" ]
     else [ "cost center"; "count"; "charged" ]
   in
-  let widths =
-    List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
-      cells
-  in
-  let render_row row =
-    String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row)
-  in
   Format.fprintf ppf "@[<v>[attribution]";
   if rows = [] then Format.fprintf ppf "@,  (no cost recorded)"
   else begin
-    Format.fprintf ppf "@,  %s" (render_row header);
-    List.iter (fun row -> Format.fprintf ppf "@,  %s" (render_row row)) cells
+    List.iter
+      (Format.fprintf ppf "@,  %s")
+      (Yashme_util.Pretty.columns (header :: cells))
   end;
   Format.fprintf ppf "@]"
 

@@ -18,7 +18,10 @@
    is a no-op behind a single [Atomic.get] branch, and nothing here
    feeds back into the exploration being measured. *)
 
-include Registry.Switch ()
+let enabled = Atomic.make false
+let enable () = Atomic.set enabled true
+let disable () = Atomic.set enabled false
+let is_enabled () = Atomic.get enabled
 
 (* Persistency-model variant label used when the engine supplies none.
    Kept as an opaque string convention (lib/observe must not depend on
@@ -79,7 +82,7 @@ let acc_of progs key =
    program; the common disabled / no-ambient-program case is two loads
    and a branch. *)
 let touch f =
-  if Atomic.get on then
+  if Atomic.get enabled then
     match Domain.DLS.get ambient with
     | None -> ()
     | Some key -> Registry.with_local store (fun progs -> f (acc_of progs key))
@@ -133,39 +136,20 @@ let keys tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl []
    both commute, so the result is independent of which domain did
    which scenario. *)
 let merge (program, variant) accs =
-  let scenarios = ref 0
-  and expansions = ref 0
-  and coh = ref 0
-  and per = ref 0
-  and plans = ref []
-  and crashes = ref []
-  and lines = ref []
-  and ochecks = ref 0
-  and oviolations = ref 0 in
-  List.iter
-    (fun a ->
-      scenarios := !scenarios + a.a_scenarios;
-      expansions := !expansions + a.a_expansions;
-      coh := !coh + a.a_pruned_coherence;
-      per := !per + a.a_pruned_persisted;
-      plans := keys a.a_plans @ !plans;
-      crashes := keys a.a_crashes @ !crashes;
-      lines := keys a.a_lines @ !lines;
-      ochecks := !ochecks + a.a_oracle_checks;
-      oviolations := !oviolations + a.a_oracle_violations)
-    accs;
+  let total f = List.fold_left (fun n a -> n + f a) 0 accs in
+  let union f = List.sort_uniq compare (List.concat_map (fun a -> keys (f a)) accs) in
   {
     program;
     variant;
-    scenarios = !scenarios;
-    plan_indices = List.sort_uniq compare !plans;
-    crash_points = List.sort_uniq compare !crashes;
-    prefix_expansions = !expansions;
-    pruned_coherence = !coh;
-    pruned_persisted = !per;
-    lines_materialized = List.length (List.sort_uniq compare !lines);
-    oracle_checks = !ochecks;
-    oracle_violations = !oviolations;
+    scenarios = total (fun a -> a.a_scenarios);
+    plan_indices = union (fun a -> a.a_plans);
+    crash_points = union (fun a -> a.a_crashes);
+    prefix_expansions = total (fun a -> a.a_expansions);
+    pruned_coherence = total (fun a -> a.a_pruned_coherence);
+    pruned_persisted = total (fun a -> a.a_pruned_persisted);
+    lines_materialized = List.length (union (fun a -> a.a_lines));
+    oracle_checks = total (fun a -> a.a_oracle_checks);
+    oracle_violations = total (fun a -> a.a_oracle_violations);
   }
 
 let snapshot () =

@@ -6,7 +6,10 @@
    being measured: instrumented code behaves identically with metrics
    on or off. *)
 
-include Registry.Switch ()
+let enabled = Atomic.make false
+let enable () = Atomic.set enabled true
+let disable () = Atomic.set enabled false
+let is_enabled () = Atomic.get enabled
 
 type counter = Registry.entry
 type histogram = Registry.entry
@@ -17,10 +20,10 @@ let histogram name = Registry.register Registry.Histogram name
 let counter_name = Registry.name
 let histogram_name = Registry.name
 
-let add c n = if Atomic.get on then Registry.add c Registry.value n
+let add c n = if Atomic.get enabled then Registry.add c Registry.count n
 let incr c = add c 1
-let value c = (Registry.read c).(Registry.value)
-let observe h v = if Atomic.get on then Registry.sample h v
+let value c = (Registry.read c).(Registry.count)
+let observe h v = if Atomic.get enabled then Registry.sample h v
 
 let hstats h =
   let v = Registry.read h in
@@ -28,9 +31,7 @@ let hstats h =
 
 let bucket_counts h = Array.sub (Registry.read h) Registry.bucket0 Registry.buckets
 
-let mine = function
-  | Registry.Counter | Registry.Histogram -> true
-  | Registry.Center -> false
+let mine kind = kind <> Registry.Center
 
 (* Counters by name, plus #count / #sum / #max pseudo-counters per
    histogram, sorted by name so two snapshots of identical work compare
@@ -45,7 +46,7 @@ let snapshot () =
             (r.name ^ "#sum", r.cells.(Registry.sum));
             (r.name ^ "#max", r.cells.(Registry.max));
           ]
-      | Registry.Counter | Registry.Center -> [ (r.name, r.cells.(Registry.value)) ])
+      | Registry.Counter | Registry.Center -> [ (r.name, r.cells.(Registry.count)) ])
     (Registry.snapshot mine)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
@@ -60,7 +61,7 @@ let row (name, v) =
 
 let diff before after =
   List.map
-    (fun (r : Registry.row) -> (r.name, r.cells.(Registry.value)))
+    (fun (r : Registry.row) -> (r.name, r.cells.(Registry.count)))
     (Registry.diff (List.map row before) (List.map row after))
 
 let reset () = Registry.reset mine

@@ -1,42 +1,23 @@
 (* The one domain-sharded store behind every observe accumulator.
 
-   An entry is a row of integer columns with one copy per shard, all
-   [Atomic.t] cells in one flat array (shard [s], column [c] at
-   [s * width + c]).  Concurrent writes from engine workers land on
-   different copies; reads merge them.  Addition commutes, so merged
-   totals are independent of how work was interleaved across domains —
-   and therefore of the --jobs count.
-
-   Nothing here feeds back into the systems being measured: a view
-   behind a disabled switch writes nothing, and an enabled one only
-   ever adds to cells. *)
+   An entry's cells are [Atomic.t]s in one flat array, shard [s] and
+   column [c] at [s * width + c].  Nothing here feeds back into the
+   systems being measured: the views only ever add to cells, and only
+   while their own enable switch is on. *)
 
 let shards = 64 (* power of two; domain ids map to shards by masking *)
 
 let slot () = (Domain.self () :> int) land (shards - 1)
 
-module Switch () = struct
-  let on = Atomic.make false
-  let enable () = Atomic.set on true
-  let disable () = Atomic.set on false
-  let is_enabled () = Atomic.get on
-end
-
-(* ------------------------------------------------------------------ *)
-(* Entries                                                              *)
-
 type kind = Counter | Histogram | Center
 
-let value = 0
 let count = 0
 let sum = 1
 let max = 2
 let bucket0 = 3
+let buckets = 63
 let units = 1
 let wall = 2
-let buckets = 63
-
-let width = function Counter -> 1 | Center -> 3 | Histogram -> bucket0 + buckets
 
 type entry = {
   e_name : string;
@@ -44,29 +25,30 @@ type entry = {
   e_units : string;
   e_volatile : bool;
   e_width : int;
-  e_cells : int Atomic.t array; (* shards * e_width, flattened *)
+  e_cells : int Atomic.t array;
 }
 
 let lock = Mutex.create ()
 let table : (string * kind, entry) Hashtbl.t = Hashtbl.create 64
 
-(* Creation is idempotent: asking twice for one (name, kind) yields the
-   same cells, so instrumentation sites and tests share entries by name
-   alone. *)
+(* Creation is idempotent, so instrumentation sites and tests share
+   entries by name alone. *)
 let register ?(units = "") ?(volatile_units = false) kind name =
   Mutex.protect lock (fun () ->
       match Hashtbl.find_opt table (name, kind) with
       | Some e -> e
       | None ->
-          let w = width kind in
+          let width =
+            match kind with Counter -> 1 | Center -> 3 | Histogram -> bucket0 + buckets
+          in
           let e =
             {
               e_name = name;
               e_kind = kind;
               e_units = units;
               e_volatile = volatile_units;
-              e_width = w;
-              e_cells = Array.init (shards * w) (fun _ -> Atomic.make 0);
+              e_width = width;
+              e_cells = Array.init (shards * width) (fun _ -> Atomic.make 0);
             }
           in
           Hashtbl.add table (name, kind) e;
@@ -112,9 +94,6 @@ let read e =
       done;
       !acc)
 
-(* ------------------------------------------------------------------ *)
-(* Merged rows                                                          *)
-
 type row = {
   name : string;
   kind : kind;
@@ -159,12 +138,7 @@ let reset keep =
         table)
 
 let volatile kind ~volatile_units col =
-  match kind with
-  | Center -> col = wall || (col = units && volatile_units)
-  | Counter | Histogram -> false
-
-(* ------------------------------------------------------------------ *)
-(* Per-domain locked shards                                             *)
+  kind = Center && (col = wall || (col = units && volatile_units))
 
 type 'a shard = { s_lock : Mutex.t; s_value : 'a }
 type 'a locked = 'a shard array

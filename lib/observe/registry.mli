@@ -1,124 +1,93 @@
-(** The one domain-sharded store behind every observe accumulator.
+(** The one domain-sharded store behind every observe accumulator: the
+    only place that defines the shard count, the [Domain.self]-masked
+    {!slot}, the registry lock and merge-on-read.  {!Metrics} and
+    {!Attribution} are views over its entries; {!Coverage} and {!Trace}
+    take their per-domain locked shards from {!locked}.
 
-    This is the only place that defines the shard count, the
-    [Domain.self]-masked {!slot}, the registry lock and merge-on-read.
-    {!Metrics} and {!Attribution} are views over its entries;
-    {!Coverage} and {!Trace} take their per-domain locked shards from
-    {!locked}.
+    An entry is a row of integer columns with one copy per shard: a
+    write lands on the calling domain's copy and a read merges the
+    copies.  Addition commutes, so merged totals of deterministic work
+    are identical for every [--jobs] count. *)
 
-    Entries are keyed by (name, kind).  Every entry is a row of integer
-    columns with one copy per shard: a write lands on the calling
-    domain's copy, and a read merges the copies.  Addition commutes, so
-    merged totals of deterministic work are identical for every
-    [--jobs] count. *)
-
-(** Shards per accumulator: a power of two, so domain ids map to shards
-    by masking. *)
+(** Shards per accumulator; a power of two. *)
 val shards : int
 
-(** The calling domain's shard, in [\[0, shards)]. *)
+(** The calling domain's shard. *)
 val slot : unit -> int
 
-(** An enable switch.  Every write of a view is a no-op behind one
-    [Atomic.get] of its switch until [enable]. *)
-module Switch () : sig
-  val on : bool Atomic.t
-  val enable : unit -> unit
-  val disable : unit -> unit
-  val is_enabled : unit -> bool
-end
+(** Counters have one column, {!count}.  Histograms have {!count},
+    {!sum}, {!max}, then {!buckets} bucket columns from {!bucket0}
+    (sample [v > 0] lands in bucket [i] when [2^(i-1) <= v < 2^i];
+    bucket 0 holds the rest).  Cost centers have {!count}, {!units} and
+    {!wall}. *)
+type kind = Counter | Histogram | Center
 
-(** {2 Entries} *)
-
-type kind =
-  | Counter  (** one column: {!value} *)
-  | Histogram
-      (** {!count}, {!sum}, {!max}, then {!buckets} power-of-two bucket
-          counts from {!bucket0} *)
-  | Center  (** a cost center: {!count}, {!units}, {!wall} *)
-
-(** Column indices. *)
-
-val value : int
 val count : int
 val sum : int
 val max : int
 val bucket0 : int
+val buckets : int
 val units : int
 val wall : int
 
-(** Power-of-two buckets: a sample [v] lands in bucket [i] when
-    [v] is in [\[2^(i-1), 2^i)]; bucket 0 holds 0 and negatives. *)
-val buckets : int
-
 type entry
 
-(** Find-or-create the entry registered under [(name, kind)].  [units]
-    labels a center's charged-unit column (default none);
-    [volatile_units] puts that column in the wall-clock class.  The
-    first registration fixes both. *)
+(** Find-or-create the entry of [(name, kind)].  A center's [units]
+    labels its charged-unit column (default none) and [volatile_units]
+    puts that column in the wall-clock class; the first registration
+    fixes both. *)
 val register : ?units:string -> ?volatile_units:bool -> kind -> string -> entry
 
 val name : entry -> string
 
-(** [add_in e ~slot col n] adds [n] to column [col] of shard [slot]; a
-    caller charging several columns looks its {!slot} up once. *)
+(** [add_in e ~slot col n] adds [n] to column [col] of shard [slot]. *)
 val add_in : entry -> slot:int -> int -> int -> unit
 
-(** [add e col n] is [add_in e ~slot:(slot ()) col n]. *)
+(** [add e col n] adds to the calling domain's shard. *)
 val add : entry -> int -> int -> unit
 
 (** Record one histogram sample on the calling domain's shard. *)
 val sample : entry -> int -> unit
 
-(** Merged columns of one entry: sums across shards, except a
-    histogram's {!max} column, which is the maximum. *)
+(** Merged columns: sums across shards, except a histogram's {!max}. *)
 val read : entry -> int array
-
-(** {2 Merged rows} *)
 
 type row = {
   name : string;
   kind : kind;
-  units_label : string;  (** [""] unless a center charges units *)
+  units_label : string;
   volatile_units : bool;
   cells : int array;  (** merged columns, as {!read} *)
 }
 
-(** Merged rows of every entry whose kind satisfies the predicate,
-    sorted by name. *)
+(** Merged rows of the entries whose kind passes, sorted by name. *)
 val snapshot : (kind -> bool) -> row list
 
-(** [diff before after] is [after - before] per (name, kind), column by
-    column, dropping rows whose cells are all zero; rows absent from
-    [before] count as zero there. *)
+(** [diff before after]: [after - before] per (name, kind), column by
+    column, dropping all-zero rows; rows absent from [before] count as
+    zero there. *)
 val diff : row list -> row list -> row list
 
-(** Zero every entry whose kind satisfies the predicate (the entries
-    themselves are kept). *)
+(** Zero the entries whose kind passes (the entries are kept). *)
 val reset : (kind -> bool) -> unit
 
-(** The one projection rule: [volatile kind ~volatile_units col] is
-    true when column [col] is scheduling-dependent and so excluded from
-    every jobs-invariant projection.  A center's {!wall} column always
-    is, its {!units} column is when the center declared
-    [volatile_units]; counter and histogram columns never are. *)
+(** The one projection rule: [volatile kind ~volatile_units col] holds
+    when column [col] is scheduling-dependent, and so left out of every
+    jobs-invariant projection.  A center's {!wall} always is, its
+    {!units} when it declared [volatile_units]; counter and histogram
+    columns never are. *)
 val volatile : kind -> volatile_units:bool -> int -> bool
 
-(** {2 Per-domain locked shards}
-
-    For accumulators that are not integer columns (coverage sets, trace
-    buffers): one value per shard, each behind its own mutex. *)
-
+(** One value per shard, each behind its own mutex, for accumulators
+    that are not integer columns (coverage sets, trace buffers). *)
 type 'a locked
 
-(** [locked make] allocates one [make ()] per shard. *)
 val locked : (unit -> 'a) -> 'a locked
 
 (** Run [f] on the calling domain's value under its shard's lock. *)
 val with_local : 'a locked -> ('a -> 'b) -> 'b
 
-(** Fold over every shard's value in shard order, each under its lock. *)
+(** Fold over the shards' values in shard order, each under its lock. *)
 val fold : 'a locked -> ('acc -> 'a -> 'acc) -> 'acc -> 'acc
 
 val iter : 'a locked -> ('a -> unit) -> unit

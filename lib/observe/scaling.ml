@@ -277,17 +277,9 @@ let pp ppf a =
         ])
       a.a_levels
   in
-  let widths =
-    List.fold_left
-      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
-      (List.map String.length header)
-      rows
-  in
-  let render row =
-    String.concat "  " (List.map2 (fun w c -> Printf.sprintf "%-*s" w c) widths row)
-  in
-  Format.fprintf ppf "@,  %s" (render header);
-  List.iter (fun row -> Format.fprintf ppf "@,  %s" (render row)) rows;
+  List.iter
+    (Format.fprintf ppf "@,  %s")
+    (Yashme_util.Pretty.columns (header :: rows));
   (match a.a_serial_fraction with
   | Some s -> Format.fprintf ppf "@,  serial fraction (Amdahl fit): %.2f" s
   | None -> Format.fprintf ppf "@,  serial fraction: n/a (single jobs level)");

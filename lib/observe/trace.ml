@@ -39,9 +39,8 @@ let now_us () =
 (* ------------------------------------------------------------------ *)
 (* Recording                                                           *)
 
-module Recording = Registry.Switch ()
-
-let recording () = Atomic.get Recording.on
+let recording_flag = Atomic.make false
+let recording () = Atomic.get recording_flag
 
 (* One buffer per registry shard, newest event first. *)
 let buffers : event list ref Registry.locked = Registry.locked (fun () -> ref [])
@@ -50,9 +49,9 @@ let clear () = Registry.iter buffers (fun b -> b := [])
 
 let start () =
   clear ();
-  Recording.enable ()
+  Atomic.set recording_flag true
 
-let stop = Recording.disable
+let stop () = Atomic.set recording_flag false
 
 (* Ambient (pid, tid) of the calling domain: the engine labels each
    worker's lane once and every span emitted underneath inherits it,

@@ -11,6 +11,15 @@ let trim_right s =
   let rec last i = if i > 0 && s.[i - 1] = ' ' then last (i - 1) else i in
   String.sub s 0 (last n)
 
+let columns rows =
+  let widths =
+    List.fold_left
+      (fun ws row -> List.map2 (fun w c -> max w (String.length c)) ws row)
+      (List.map (fun _ -> 0) (List.hd rows))
+      rows
+  in
+  List.map (fun row -> String.concat "  " (List.map2 pad widths row)) rows
+
 let table ~header rows =
   let all = header :: rows in
   let ncols = List.fold_left (fun acc r -> max acc (List.length r)) 0 all in

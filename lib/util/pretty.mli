@@ -9,5 +9,10 @@ val pad : int -> string -> string
 (** [rule width] is a horizontal rule of dashes. *)
 val rule : int -> string
 
+(** [columns rows] pads every cell to its column's width and joins each
+    row's cells with two spaces (no rule; trailing padding kept).  All
+    rows have the same length. *)
+val columns : string list list -> string list
+
 (** [table ~header rows] renders an aligned plain-text table. *)
 val table : header:string list -> string list list -> string
