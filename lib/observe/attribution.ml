@@ -47,7 +47,9 @@ let charge c ?(count = 1) ?(units = 0) ?(wall_us = 0) () =
     if wall_us > 0 then Registry.add_in c ~slot Registry.wall wall_us
   end
 
-let tick c = if Atomic.get enabled then Registry.add c Registry.count 1
+let tick c =
+  if Atomic.get enabled then
+    Registry.add_in c ~slot:(Registry.slot ()) Registry.count 1
 
 (* ------------------------------------------------------------------ *)
 (* Merge-on-read rows                                                   *)
@@ -61,37 +63,40 @@ type row = {
   r_wall_us : int;
 }
 
-let of_registry (r : Registry.row) =
-  {
-    r_center = r.name;
-    r_units_label = r.units_label;
-    r_volatile_units = r.volatile_units;
-    r_count = r.cells.(Registry.count);
-    r_units = r.cells.(Registry.units);
-    r_wall_us = r.cells.(Registry.wall);
-  }
-
-let to_registry r =
-  {
-    Registry.name = r.r_center;
-    kind = Registry.Center;
-    units_label = r.r_units_label;
-    volatile_units = r.r_volatile_units;
-    cells = [| r.r_count; r.r_units; r.r_wall_us |];
-  }
-
 let is_center kind = kind = Registry.Center
 
-(* Registered-but-uncharged centers are dropped (the registry's diff
-   against nothing) so the table only names cost centers the run
-   actually exercised, whichever modules happened to register
-   centers. *)
+(* Registered-but-uncharged centers are dropped so the table only names
+   cost centers the run actually exercised, whichever modules happened
+   to register centers. *)
 let snapshot () =
-  List.map of_registry (Registry.diff [] (Registry.snapshot is_center))
+  List.filter_map
+    (fun (e, c) ->
+      if Array.for_all (( = ) 0) c then None
+      else
+        Some
+          {
+            r_center = Registry.name e;
+            r_units_label = Registry.units_label e;
+            r_volatile_units = Registry.volatile_units e;
+            r_count = c.(Registry.count);
+            r_units = c.(Registry.units);
+            r_wall_us = c.(Registry.wall);
+          })
+    (Registry.snapshot is_center)
 
 let diff before after =
-  List.map of_registry
-    (Registry.diff (List.map to_registry before) (List.map to_registry after))
+  let cells =
+    List.map (fun r -> (r.r_center, [| r.r_count; r.r_units; r.r_wall_us |]))
+  in
+  List.map
+    (fun (name, c) ->
+      {
+        (List.find (fun r -> r.r_center = name) after) with
+        r_count = c.(Registry.count);
+        r_units = c.(Registry.units);
+        r_wall_us = c.(Registry.wall);
+      })
+    (Registry.diff (cells before) (cells after))
 
 let reset () = Registry.reset is_center
 

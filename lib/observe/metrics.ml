@@ -20,7 +20,8 @@ let histogram name = Registry.register Registry.Histogram name
 let counter_name = Registry.name
 let histogram_name = Registry.name
 
-let add c n = if Atomic.get enabled then Registry.add c Registry.count n
+let add c n =
+  if Atomic.get enabled then Registry.add_in c ~slot:(Registry.slot ()) Registry.count n
 let incr c = add c 1
 let value c = (Registry.read c).(Registry.count)
 let observe h v = if Atomic.get enabled then Registry.sample h v
@@ -38,30 +39,23 @@ let mine kind = kind <> Registry.Center
    equal structurally. *)
 let snapshot () =
   List.concat_map
-    (fun (r : Registry.row) ->
-      match r.kind with
+    (fun (e, cells) ->
+      let name = Registry.name e in
+      match Registry.kind e with
       | Registry.Histogram ->
           [
-            (r.name ^ "#count", r.cells.(Registry.count));
-            (r.name ^ "#sum", r.cells.(Registry.sum));
-            (r.name ^ "#max", r.cells.(Registry.max));
+            (name ^ "#count", cells.(Registry.count));
+            (name ^ "#sum", cells.(Registry.sum));
+            (name ^ "#max", cells.(Registry.max));
           ]
-      | Registry.Counter | Registry.Center -> [ (r.name, r.cells.(Registry.count)) ])
+      | Registry.Counter | Registry.Center -> [ (name, cells.(Registry.count)) ])
     (Registry.snapshot mine)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let row (name, v) =
-  {
-    Registry.name;
-    kind = Registry.Counter;
-    units_label = "";
-    volatile_units = false;
-    cells = [| v |];
-  }
-
 let diff before after =
+  let cells = List.map (fun (name, v) -> (name, [| v |])) in
   List.map
-    (fun (r : Registry.row) -> (r.name, r.cells.(Registry.count)))
-    (Registry.diff (List.map row before) (List.map row after))
+    (fun (name, c) -> (name, c.(Registry.count)))
+    (Registry.diff (cells before) (cells after))
 
 let reset () = Registry.reset mine

@@ -55,12 +55,12 @@ let register ?(units = "") ?(volatile_units = false) kind name =
           e)
 
 let name e = e.e_name
+let kind e = e.e_kind
+let units_label e = e.e_units
+let volatile_units e = e.e_volatile
 
 let add_in e ~slot col n =
   ignore (Atomic.fetch_and_add e.e_cells.((slot * e.e_width) + col) n)
-
-let add e col n =
-  ignore (Atomic.fetch_and_add e.e_cells.((slot () * e.e_width) + col) n)
 
 let bucket_of v =
   if v <= 0 then 0
@@ -94,40 +94,22 @@ let read e =
       done;
       !acc)
 
-type row = {
-  name : string;
-  kind : kind;
-  units_label : string;
-  volatile_units : bool;
-  cells : int array;
-}
-
 let snapshot keep =
   Mutex.protect lock (fun () ->
       Hashtbl.fold
-        (fun _ e acc ->
-          if keep e.e_kind then
-            {
-              name = e.e_name;
-              kind = e.e_kind;
-              units_label = e.e_units;
-              volatile_units = e.e_volatile;
-              cells = read e;
-            }
-            :: acc
-          else acc)
+        (fun _ e acc -> if keep e.e_kind then (e, read e) :: acc else acc)
         table [])
-  |> List.sort (fun a b -> compare (a.name, a.kind) (b.name, b.kind))
+  |> List.sort (fun (a, _) (b, _) -> compare (a.e_name, a.e_kind) (b.e_name, b.e_kind))
 
 let diff before after =
   List.filter_map
-    (fun a ->
+    (fun (name, cells) ->
       let d =
-        match List.find_opt (fun b -> b.name = a.name && b.kind = a.kind) before with
-        | None -> a
-        | Some b -> { a with cells = Array.map2 ( - ) a.cells b.cells }
+        match List.assoc_opt name before with
+        | None -> cells
+        | Some prev -> Array.map2 ( - ) cells prev
       in
-      if Array.for_all (( = ) 0) d.cells then None else Some d)
+      if Array.for_all (( = ) 0) d then None else Some (name, d))
     after
 
 let reset keep =

@@ -9,9 +9,6 @@
     copies.  Addition commutes, so merged totals of deterministic work
     are identical for every [--jobs] count. *)
 
-(** Shards per accumulator; a power of two. *)
-val shards : int
-
 (** The calling domain's shard. *)
 val slot : unit -> int
 
@@ -39,12 +36,13 @@ type entry
 val register : ?units:string -> ?volatile_units:bool -> kind -> string -> entry
 
 val name : entry -> string
+val kind : entry -> kind
+val units_label : entry -> string
+val volatile_units : entry -> bool
 
-(** [add_in e ~slot col n] adds [n] to column [col] of shard [slot]. *)
+(** [add_in e ~slot col n] adds [n] to column [col] of shard [slot]
+    (the caller's {!slot}). *)
 val add_in : entry -> slot:int -> int -> int -> unit
-
-(** [add e col n] adds to the calling domain's shard. *)
-val add : entry -> int -> int -> unit
 
 (** Record one histogram sample on the calling domain's shard. *)
 val sample : entry -> int -> unit
@@ -52,21 +50,15 @@ val sample : entry -> int -> unit
 (** Merged columns: sums across shards, except a histogram's {!max}. *)
 val read : entry -> int array
 
-type row = {
-  name : string;
-  kind : kind;
-  units_label : string;
-  volatile_units : bool;
-  cells : int array;  (** merged columns, as {!read} *)
-}
+(** The entries whose kind passes with their merged columns, sorted by
+    name. *)
+val snapshot : (kind -> bool) -> (entry * int array) list
 
-(** Merged rows of the entries whose kind passes, sorted by name. *)
-val snapshot : (kind -> bool) -> row list
-
-(** [diff before after]: [after - before] per (name, kind), column by
-    column, dropping all-zero rows; rows absent from [before] count as
-    zero there. *)
-val diff : row list -> row list -> row list
+(** The one diff of every view: [diff before after] is [after - before]
+    per name, column by column, dropping all-zero rows; names absent
+    from [before] count as zero there. *)
+val diff :
+  (string * int array) list -> (string * int array) list -> (string * int array) list
 
 (** Zero the entries whose kind passes (the entries are kept). *)
 val reset : (kind -> bool) -> unit

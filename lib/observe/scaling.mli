@@ -35,13 +35,11 @@ type level = {
     window; absent centers read as zero. *)
 val of_attribution : Attribution.row list -> int * int * int * int * int * int
 
-(** The one jobs-sweep driver, shared by [yashme scaling] and the bench:
+(** The jobs-sweep driver of [yashme scaling] and the bench:
     [sweep ~repeats ~levels ~elapsed run] makes [repeats] (at least one)
-    interleaved passes, each calling [run ~rep jobs] once per level
-    before any level repeats, so no level systematically runs cold or
-    warm.  Per level it keeps the result with the least [elapsed] (the
-    earliest among ties) and returns [(jobs, best)] in [levels]
-    order. *)
+    interleaved passes, each calling [run ~rep jobs] once per level, and
+    returns [(jobs, best)] in [levels] order, [best] being the result
+    with the least [elapsed] (the earliest among ties). *)
 val sweep :
   repeats:int ->
   levels:int list ->

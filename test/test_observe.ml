@@ -391,6 +391,197 @@ let test_detector_counters_jobs_invariant () =
   check "detector counters identical for jobs=1 and jobs=4" true (j1 = j4);
   quiesce ()
 
+(* ------------------------------------------------------------------ *)
+(* Registry model: random charge scripts vs a single-threaded model     *)
+
+module Attribution = Observe.Attribution
+
+(* One charge against a named cell.  Counter and center deltas may be
+   negative; histogram samples are not (the [observe] contract). *)
+type charge =
+  | Add of string * int
+  | Sample of string * int
+  | Charge of string * int * int * int  (* center, count, units, wall *)
+
+(* Pool centers with fixed labels (the first registration fixes them);
+   [fresh] centers and counters are registered by the after-script
+   only, so they are absent from the before-snapshots. *)
+let model_centers = [ ("model/k0", "ops", false); ("model/k1", "", false);
+                      ("model/k2", "words", true) ]
+
+let center_labels name =
+  match List.find_opt (fun (n, _, _) -> n = name) model_centers with
+  | Some (_, units, volatile) -> (units, volatile)
+  | None -> ("bytes", false)
+
+let center_of name =
+  let units, volatile_units = center_labels name in
+  Attribution.center ~units ~volatile_units name
+
+let run_charge = function
+  | Add (n, d) -> Metrics.add (Metrics.counter n) d
+  | Sample (n, v) -> Metrics.observe (Metrics.histogram n) v
+  | Charge (n, count, units, wall_us) ->
+      Attribution.charge (center_of n) ~count ~units ~wall_us ()
+
+let gen_charge ~fresh =
+  QCheck.Gen.(
+    let delta = int_range (-50) 50 in
+    let counter = oneofl [ "model/c0"; "model/c1"; "model/c2"; fresh ^ "/c" ] in
+    let center =
+      oneofl ("model/k0" :: "model/k1" :: "model/k2" :: [ fresh ^ "/k" ])
+    in
+    frequency
+      [
+        (3, map2 (fun n d -> Add (n, d)) counter delta);
+        ( 2,
+          map2 (fun n v -> Sample (n, v)) (oneofl [ "model/h0"; "model/h1" ])
+            (int_bound 5000) );
+        ( 3,
+          map3
+            (fun n (c, u) w -> Charge (n, c, u, w))
+            center (pair delta delta) (int_range (-5) 500) );
+      ])
+
+let fresh_names = ref 0
+
+(* (before-script, after-script, domains for the after-script). *)
+let arb_scripts =
+  let gen =
+    QCheck.Gen.(
+      (* A generator is a function of the random state: each draw
+         names a new fresh pair. *)
+      let* fresh =
+       fun _ ->
+        incr fresh_names;
+        Printf.sprintf "model/fresh%d" !fresh_names
+      in
+      let script = list_size (int_bound 40) (gen_charge ~fresh) in
+      triple script script (int_range 1 4))
+  in
+  let print_charge = function
+    | Add (n, d) -> Printf.sprintf "add %s %d" n d
+    | Sample (n, v) -> Printf.sprintf "sample %s %d" n v
+    | Charge (n, c, u, w) -> Printf.sprintf "charge %s %d/%d/%d" n c u w
+  in
+  QCheck.make gen
+    ~print:(fun (a, b, d) ->
+      Printf.sprintf "before [%s] after [%s] on %d domain(s)"
+        (String.concat "; " (List.map print_charge a))
+        (String.concat "; " (List.map print_charge b))
+        d)
+
+(* The after-script dealt round-robin over [domains] domains: the
+   calling one plus at most three spawned. *)
+let run_split domains script =
+  let chunk k = List.filteri (fun i _ -> i mod domains = k) script in
+  let spawned =
+    List.init (domains - 1) (fun k ->
+        let c = chunk (k + 1) in
+        Domain.spawn (fun () -> List.iter run_charge c))
+  in
+  List.iter run_charge (chunk 0);
+  List.iter Domain.join spawned
+
+(* What the diffs must be, from a plain Hashtbl fold over the scripts:
+   counters and centers sum the after-script's deltas (a center's wall
+   only from positive charges, zero-count and zero-unit charges adding
+   nothing); a histogram's #max is the after-max minus the before-max
+   (both floored at 0). *)
+let model_diffs before after =
+  let sums : (string, int) Hashtbl.t = Hashtbl.create 16 in
+  let bump k d = Hashtbl.replace sums k (d + Option.value ~default:0 (Hashtbl.find_opt sums k)) in
+  let maxes script =
+    let m = Hashtbl.create 4 in
+    List.iter
+      (function
+        | Sample (n, v) ->
+            Hashtbl.replace m n (max v (Option.value ~default:0 (Hashtbl.find_opt m n)))
+        | Add _ | Charge _ -> ())
+      script;
+    m
+  in
+  let before_max = maxes before and all_max = maxes (before @ after) in
+  List.iter
+    (function
+      | Add (n, d) -> bump n d
+      | Sample (n, v) ->
+          bump (n ^ "#count") 1;
+          bump (n ^ "#sum") v
+      | Charge (n, c, u, w) ->
+          bump (n ^ "\000count") c;
+          bump (n ^ "\000units") u;
+          if w > 0 then bump (n ^ "\000wall") w)
+    after;
+  Hashtbl.iter
+    (fun n m ->
+      bump (n ^ "#max") (m - Option.value ~default:0 (Hashtbl.find_opt before_max n)))
+    all_max;
+  let get k = Option.value ~default:0 (Hashtbl.find_opt sums k) in
+  let names f =
+    List.sort_uniq compare
+      (List.filter_map f (before @ after))
+  in
+  let metrics =
+    names (function
+      | Add (n, _) -> Some [ n ]
+      | Sample (n, _) -> Some [ n ^ "#count"; n ^ "#sum"; n ^ "#max" ]
+      | Charge _ -> None)
+    |> List.concat |> List.sort_uniq compare
+    |> List.filter_map (fun k -> if get k = 0 then None else Some (k, get k))
+  in
+  let centers =
+    names (function Charge (n, _, _, _) -> Some n | Add _ | Sample _ -> None)
+    |> List.filter_map (fun n ->
+           let count = get (n ^ "\000count")
+           and units = get (n ^ "\000units")
+           and wall = get (n ^ "\000wall") in
+           if count = 0 && units = 0 && wall = 0 then None
+           else
+             let units_label, volatile = center_labels n in
+             Some
+               {
+                 Attribution.r_center = n;
+                 r_units_label = units_label;
+                 r_volatile_units = volatile;
+                 r_count = count;
+                 r_units = units;
+                 r_wall_us = wall;
+               })
+  in
+  (metrics, centers)
+
+let prop_registry_matches_model (before, after, domains) =
+  quiesce ();
+  Attribution.disable ();
+  Attribution.reset ();
+  (* Pool cells exist before any script runs, as instrumentation sites'
+     do; fresh names are registered by the scripts themselves. *)
+  List.iter (fun (n, _, _) -> ignore (center_of n)) model_centers;
+  Metrics.enable ();
+  Attribution.enable ();
+  List.iter run_charge before;
+  let m0 = Metrics.snapshot () and a0 = Attribution.snapshot () in
+  run_split domains after;
+  let md = Metrics.diff m0 (Metrics.snapshot ())
+  and ad = Attribution.diff a0 (Attribution.snapshot ()) in
+  quiesce ();
+  Attribution.disable ();
+  Attribution.reset ();
+  let expect_m, expect_a = model_diffs before after in
+  if md <> expect_m then
+    QCheck.Test.fail_reportf "metrics diff %s <> model %s"
+      (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) md))
+      (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) expect_m));
+  if ad <> expect_a then
+    QCheck.Test.fail_reportf "attribution diff %s <> model %s"
+      (Attribution.to_string ad) (Attribution.to_string expect_a);
+  true
+
+let test_registry_model =
+  QCheck.Test.make ~name:"random charge scripts match a Hashtbl model"
+    ~count:150 arb_scripts prop_registry_matches_model
+
 let () =
   Alcotest.run "observe"
     [
@@ -410,6 +601,7 @@ let () =
           Alcotest.test_case "zero-sample histograms" `Quick
             test_histogram_zero_samples;
         ] );
+      ("registry-model", [ QCheck_alcotest.to_alcotest test_registry_model ]);
       ( "log",
         [ Alcotest.test_case "levels and aliases" `Quick test_log_levels ] );
       ( "trace",
