@@ -1,28 +1,11 @@
 (* Per-scenario cost attribution: where does exploration time go?
 
-   A [center] is a named cost bucket (snapshot copying, queue wait,
-   detector clock-vector comparisons, ...): a {!Registry} [Center] entry
-   with three domain-sharded columns, an occurrence count, a
-   charged-unit total (bytes, ops, comparisons — whatever the center's
-   [units] label says) and a wall-clock total in microseconds.
-   Concurrent charges from engine workers land on different shards;
-   reads merge the shards.
-
-   The two-class column model is the crux.  Counts and charged units of
-   deterministic work commute under addition, so their merged totals
-   are identical for every --jobs count — that projection (rendered by
-   [to_string ~timing:false] and exported by [fields]) is byte-stable
-   and CI-comparable.  Wall clocks are not, and neither are GC word
-   deltas: OCaml 5's [Gc.quick_stat] counters are flushed globally at
-   minor collections, so a delta taken on one domain absorbs other
-   domains' allocation.  Centers carrying such quantities declare
-   [volatile_units]; volatile columns render in the full table but are
-   excluded from the invariant projection and from ledger comparison.
-   Which columns are volatile is {!Registry.volatile}'s rule alone.
-
-   Like {!Metrics}, everything is a no-op behind one [Atomic.get]
-   branch until [enable], and nothing here feeds back into the engine:
-   attribution on vs off never changes a race report. *)
+   A [center] (snapshot copying, queue wait, detector clock-vector
+   comparisons, ...) is a {!Registry} [Center] entry: occurrence count,
+   charged units (whatever the center's [units] label says) and wall
+   microseconds.  The two-class column model of the interface — which
+   columns are jobs-invariant and which volatile — is
+   {!Registry.volatile}'s rule alone; rendering and export ask it. *)
 
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true

@@ -1,6 +1,6 @@
-(** Per-scenario cost attribution: named cost centers with
-    domain-sharded count / charged-unit / wall-clock accumulators,
-    merged on read.
+(** Per-scenario cost attribution: named cost centers, each a
+    {!Registry} entry with domain-sharded count / charged-unit /
+    wall-clock columns, merged on read.
 
     Counts and charged units of deterministic work are jobs-invariant
     (addition commutes across shards); wall clocks are not, and neither
@@ -8,9 +8,9 @@
     at minor collections, so per-domain deltas absorb other domains'
     allocation).  Centers carrying such quantities are registered with
     [volatile_units]; the invariant projection ([to_string
-    ~timing:false], {!fields}) excludes wall clocks and volatile units,
-    and is what determinism tests and the run-ledger comparison gate
-    on.
+    ~timing:false], {!fields}) excludes wall clocks and volatile units
+    ({!Registry.volatile} decides which), and is what determinism tests
+    and the run-ledger comparison gate on.
 
     Disabled by default: every charge is a no-op behind a single
     [Atomic.get] branch, and nothing here influences the exploration

@@ -1,22 +1,8 @@
-(* Crash-space coverage accounting.
-
-   Answers, per program, "how much of the crash space did this run
-   actually explore?": which crash-plan indices were exercised, which
-   crash points actually fired, how many prefix expansions the detector
-   performed vs how many checks it pruned (coherence / persisted), and
-   how many distinct cache lines a crash ever materialized.
-
-   Accounting is attributed to the ambient program of the calling
-   domain (a [Domain.DLS] slot the engine sets around each scenario),
-   and accumulated into the {!Registry}'s per-domain locked shards,
-   merged on read.  Every
-   per-program quantity is either a set union or a counter sum, and
-   each scenario executes exactly once regardless of the pool size, so
-   merged coverage is byte-identical for every [--jobs] count.
-
-   Like {!Metrics}, the whole module is disabled by default: each hook
-   is a no-op behind a single [Atomic.get] branch, and nothing here
-   feeds back into the exploration being measured. *)
+(* Crash-space coverage accounting (see the interface for what is
+   counted and why it is jobs-invariant).  Hooks account to the ambient
+   program of the calling domain (a [Domain.DLS] slot the engine sets
+   around each scenario), in the {!Registry}'s per-domain locked
+   shards, merged on read. *)
 
 let enabled = Atomic.make false
 let enable () = Atomic.set enabled true

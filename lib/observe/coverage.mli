@@ -7,7 +7,8 @@
 
     Hooks attribute to the {e ambient program} of the calling domain —
     set by the engine around each scenario with {!with_program} — and
-    accumulate into per-domain shards merged on read.  Every quantity
+    accumulate into {!Registry}'s per-domain locked shards, merged on
+    read.  Every quantity
     is a set union or a counter sum and each scenario executes exactly
     once regardless of the pool size, so {!snapshot} (and everything
     rendered from it) is byte-identical for every [--jobs] count.

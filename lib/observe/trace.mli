@@ -3,8 +3,8 @@
 
     Events carry a name, a category, a (pid, tid) lane, a microsecond
     timestamp (wall clock clamped to be monotone) and string args.
-    They are recorded into per-domain sharded buffers (one mutex per
-    shard) and merged, timestamp-sorted, at export.
+    They are recorded into {!Registry}'s per-domain locked shards and
+    merged, timestamp-sorted, at export.
 
     Recording is off until {!start}: every emit is a no-op behind one
     [Atomic.get] branch, so instrumentation in hot paths costs one
