@@ -10,8 +10,8 @@ val pad : int -> string -> string
 val rule : int -> string
 
 (** [columns rows] pads every cell to its column's width and joins each
-    row's cells with two spaces (no rule; trailing padding kept).  All
-    rows have the same length. *)
+    row's cells with two spaces (no rule; trailing padding kept).
+    [rows] is non-empty and all rows have the same length. *)
 val columns : string list list -> string list
 
 (** [table ~header rows] renders an aligned plain-text table. *)

@@ -4,6 +4,7 @@
    detector counters are identical for every job count). *)
 
 module Metrics = Observe.Metrics
+module Attribution = Observe.Attribution
 module Trace = Observe.Trace
 module Json = Yashme_util.Json
 module Span = Observe.Span
@@ -394,8 +395,6 @@ let test_detector_counters_jobs_invariant () =
 (* ------------------------------------------------------------------ *)
 (* Registry model: random charge scripts vs a single-threaded model     *)
 
-module Attribution = Observe.Attribution
-
 (* One charge against a named cell.  Counter and center deltas may be
    negative; histogram samples are not (the [observe] contract). *)
 type charge =
@@ -406,8 +405,8 @@ type charge =
 (* Pool centers with fixed labels (the first registration fixes them);
    [fresh] centers and counters are registered by the after-script
    only, so they are absent from the before-snapshots. *)
-let model_centers = [ ("model/k0", "ops", false); ("model/k1", "", false);
-                      ("model/k2", "words", true) ]
+let model_centers =
+  [ ("model/k0", "ops", false); ("model/k1", "", false); ("model/k2", "words", true) ]
 
 let center_labels name =
   match List.find_opt (fun (n, _, _) -> n = name) model_centers with
@@ -490,13 +489,13 @@ let run_split domains script =
    (both floored at 0). *)
 let model_diffs before after =
   let sums : (string, int) Hashtbl.t = Hashtbl.create 16 in
-  let bump k d = Hashtbl.replace sums k (d + Option.value ~default:0 (Hashtbl.find_opt sums k)) in
+  let find tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+  let bump k d = Hashtbl.replace sums k (d + find sums k) in
   let maxes script =
     let m = Hashtbl.create 4 in
     List.iter
       (function
-        | Sample (n, v) ->
-            Hashtbl.replace m n (max v (Option.value ~default:0 (Hashtbl.find_opt m n)))
+        | Sample (n, v) -> Hashtbl.replace m n (max v (find m n))
         | Add _ | Charge _ -> ())
       script;
     m
@@ -513,15 +512,9 @@ let model_diffs before after =
           bump (n ^ "\000units") u;
           if w > 0 then bump (n ^ "\000wall") w)
     after;
-  Hashtbl.iter
-    (fun n m ->
-      bump (n ^ "#max") (m - Option.value ~default:0 (Hashtbl.find_opt before_max n)))
-    all_max;
-  let get k = Option.value ~default:0 (Hashtbl.find_opt sums k) in
-  let names f =
-    List.sort_uniq compare
-      (List.filter_map f (before @ after))
-  in
+  Hashtbl.iter (fun n m -> bump (n ^ "#max") (m - find before_max n)) all_max;
+  let get = find sums in
+  let names f = List.sort_uniq compare (List.filter_map f (before @ after)) in
   let metrics =
     names (function
       | Add (n, _) -> Some [ n ]
@@ -569,10 +562,9 @@ let prop_registry_matches_model (before, after, domains) =
   Attribution.disable ();
   Attribution.reset ();
   let expect_m, expect_a = model_diffs before after in
+  let show m = String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) m) in
   if md <> expect_m then
-    QCheck.Test.fail_reportf "metrics diff %s <> model %s"
-      (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) md))
-      (String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) expect_m));
+    QCheck.Test.fail_reportf "metrics diff %s <> model %s" (show md) (show expect_m);
   if ad <> expect_a then
     QCheck.Test.fail_reportf "attribution diff %s <> model %s"
       (Attribution.to_string ad) (Attribution.to_string expect_a);
