@@ -571,7 +571,7 @@ let prop_registry_matches_model (before, after, domains) =
   true
 
 let test_registry_model =
-  QCheck.Test.make ~name:"random charge scripts match a Hashtbl model"
+  QCheck.Test.make ~name:"charge scripts match a Hashtbl model"
     ~count:150 arb_scripts prop_registry_matches_model
 
 let () =
@@ -593,7 +593,7 @@ let () =
           Alcotest.test_case "zero-sample histograms" `Quick
             test_histogram_zero_samples;
         ] );
-      ("registry-model", [ QCheck_alcotest.to_alcotest test_registry_model ]);
+      ("registry", [ QCheck_alcotest.to_alcotest test_registry_model ]);
       ( "log",
         [ Alcotest.test_case "levels and aliases" `Quick test_log_levels ] );
       ( "trace",
