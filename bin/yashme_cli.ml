@@ -637,9 +637,11 @@ let check_all_cmd =
     Printf.printf "total distinct persistency races: %d\n" !total;
     write_corpus ~corpus_out (List.rev !extractions);
     write_files s;
+    (* Whole-run figures come from the snapshot: a diff carries no
+       [#max] rows. *)
     if tel.metrics then
       print_metrics_summary ~title:"metrics summary (whole suite)"
-        (metrics_since s.start);
+        (Observe.Metrics.snapshot ());
     close_session s
   in
   let term =
@@ -653,9 +655,8 @@ let check_all_cmd =
 let trace_lint_cmd =
   let file =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"FILE"
-           ~doc:"File to validate: JSONL when the name ends in .jsonl, SVG \
-                 (timeline export) when it ends in .svg, one JSON document \
-                 otherwise.")
+           ~doc:"File to validate: JSONL when the name ends in .jsonl, one \
+                 JSON document otherwise.")
   in
   (* JSON files go through the loaders' own reader, so lint passing
      means every emitter's bytes parse under the one grammar. *)
@@ -666,12 +667,7 @@ let trace_lint_cmd =
     else Result.map ignore (Yashme_util.Json.parse data)
   in
   let run file =
-    let check =
-      if Filename.check_suffix file ".svg" then
-        Observe.Timeline.check_svg_file
-      else lint_json
-    in
-    match check file with
+    match lint_json file with
     | Ok () -> Printf.printf "%s: well-formed\n" file
     | Error msg ->
         Printf.eprintf "%s: malformed trace: %s\n" file msg;
@@ -682,9 +678,8 @@ let trace_lint_cmd =
   in
   Cmd.v
     (Cmd.info "trace-lint"
-       ~doc:"Validate a trace file emitted by --trace-out (JSON \
-             well-formedness), or an SVG timeline emitted by yashme scaling \
-             --svg (XML well-formedness)")
+       ~doc:"Validate a trace file emitted by --trace-out, or any other \
+             JSON/JSONL artifact, for JSON well-formedness")
     Term.(const run $ file)
 
 let profile_cmd =
@@ -756,22 +751,10 @@ let profile_cmd =
           (Yashme_util.Pretty.table
              ~header:[ "category"; "count"; "total"; "self" ]
              (rows_of (Observe.Profile.by_cat events)));
-        print_newline ();
-        print_endline "lanes (pid/tid = engine worker slots):";
-        print_endline
-          (Yashme_util.Pretty.table
-             ~header:[ "pid"; "tid"; "spans"; "instants"; "busy" ]
-             (List.map
-                (fun (l : Observe.Profile.lane) ->
-                  [ string_of_int l.Observe.Profile.l_pid;
-                    string_of_int l.Observe.Profile.l_tid;
-                    string_of_int l.Observe.Profile.l_spans;
-                    string_of_int l.Observe.Profile.l_instants;
-                    fmt_us l.Observe.Profile.l_busy_us ])
-                (Observe.Profile.lanes events)));
-        (* The timeline reconstruction classifies the same lanes into
-           busy / queue-wait / idle; skipped silently for traces
-           without complete spans (e.g. instants-only logs). *)
+        (* The one per-lane table: the timeline reconstruction (pid/tid
+           = engine worker slots) classifies each lane into busy /
+           queue-wait / idle; skipped silently for traces without
+           complete spans (e.g. instants-only logs). *)
         (match Observe.Timeline.of_events events with
         | Error _ -> ()
         | Ok t ->
@@ -867,18 +850,13 @@ let scaling_cmd =
     Arg.(value & opt (some string) None
            & info [ "projection-out" ] ~doc ~docv:"FILE")
   in
-  let svg_arg =
-    let doc = "Write an SVG lane chart of the last program's top-jobs run to \
-               $(docv) (validate with $(b,yashme trace-lint))." in
-    Arg.(value & opt (some string) None & info [ "svg" ] ~doc ~docv:"FILE")
-  in
   let timeline_flag =
     let doc = "Print the per-domain timeline (ASCII lane chart plus the \
                utilization/idle-gap table) of each program's top-jobs run." in
     Arg.(value & flag & info [ "timeline" ] ~doc)
   in
-  let run progs jobs_list repeats seed variant out projection_out svg_file
-      timeline tel =
+  let run progs jobs_list repeats seed variant out projection_out timeline tel
+      =
     let levels_asked =
       List.sort_uniq compare
         (List.filter_map
@@ -909,75 +887,46 @@ let scaling_cmd =
     let s = open_session { tel with attribution = true } in
     let opts = { Pm_harness.Runner.default_options with seed; variant } in
     let top = List.fold_left max 1 levels_asked in
-    let last_timeline = ref None in
-    (* One engine run at [jobs] with the cost-center window around it;
-       traced runs additionally reconstruct the per-domain timeline. *)
+    (* One engine run at [jobs], recorded as the ledger entry of its
+       report with the cost-center window around it attached; traced
+       runs additionally print the per-domain timeline. *)
     let run_level ~trace (p : Pm_harness.Program.t) jobs =
+      let name = p.Pm_harness.Program.name in
       if trace then Observe.Trace.start ();
       let since = mark s in
       let o = Pm_harness.Runner.model_check_outcome ~options:opts ~jobs p in
-      let att = attribution_since since in
+      let r = attach s ~since ~variant p o.Pm_harness.Runner.o_report in
       if trace then begin
         Observe.Trace.stop ();
         let events = Observe.Trace.events () in
         Observe.Trace.clear ();
         match Observe.Timeline.of_events events with
         | Ok t ->
-            last_timeline := Some (p.Pm_harness.Program.name, jobs, t);
-            if timeline then begin
-              Printf.printf "%s timeline (jobs=%d):\n"
-                p.Pm_harness.Program.name jobs;
-              print_endline (Observe.Timeline.ascii t);
-              print_endline (Observe.Timeline.to_string t);
-              print_newline ()
-            end
+            Printf.printf "%s timeline (jobs=%d):\n" name jobs;
+            print_endline (Observe.Timeline.ascii t);
+            print_endline (Observe.Timeline.to_string t);
+            print_newline ()
         | Error msg ->
             Observe.Log.warn
               (Printf.sprintf "timeline reconstruction failed: %s" msg)
       end;
-      let stats = o.Pm_harness.Runner.o_stats in
-      let r = o.Pm_harness.Runner.o_report in
-      let ex =
-        Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-      in
-      let snapshot_bytes, queue_wait_us, snapshot_us, merge_us, gc_minor,
-          gc_major =
-        Observe.Scaling.of_attribution att
-      in
-      {
-        Observe.Scaling.v_jobs = stats.Pm_harness.Engine.jobs;
-        v_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-        v_cpu_s = stats.Pm_harness.Engine.cpu_s;
-        v_scenarios = stats.Pm_harness.Engine.scenarios;
-        v_completed = stats.Pm_harness.Engine.completed;
-        v_faulted = stats.Pm_harness.Engine.faulted;
-        v_executions = stats.Pm_harness.Engine.executions;
-        v_ops = stats.Pm_harness.Engine.ops;
-        v_races = List.length (Pm_harness.Report.real r);
-        v_witnesses = List.length ex.Pm_corpus.Witness.witnesses;
-        v_snapshot_bytes = snapshot_bytes;
-        v_queue_wait_us = queue_wait_us;
-        v_snapshot_us = snapshot_us;
-        v_merge_us = merge_us;
-        v_gc_minor_words = gc_minor;
-        v_gc_major_words = gc_major;
-      }
+      let ex = Pm_corpus.Witness.of_outcome ~program:name o in
+      Pm_corpus.Ledger_store.of_report ~run:name ~mode:"mc" ~seed
+        ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
+        ~stats:o.Pm_harness.Runner.o_stats r
     in
     let rows = ref [] and projection_rows = ref [] in
     List.iter
       (fun (p : Pm_harness.Program.t) ->
         let name = p.Pm_harness.Program.name in
-        (* Interleaved best-of-N, like the bench.  The top level of the
-           first pass is traced for the timeline artifacts. *)
+        (* Interleaved best-of-N, like the bench.  Under --timeline the
+           top level of the first pass is traced. *)
         let levels =
           List.map snd
             (Observe.Scaling.sweep ~repeats ~levels:levels_asked
-               ~elapsed:(fun l -> l.Observe.Scaling.v_elapsed_s)
+               ~elapsed:(fun e -> e.Observe.Ledger.e_elapsed_s)
                (fun ~rep jobs ->
-                 let trace =
-                   rep = 1 && jobs = top && (timeline || svg_file <> None)
-                 in
-                 run_level ~trace p jobs))
+                 run_level ~trace:(timeline && rep = 1 && jobs = top) p jobs))
         in
         (match Observe.Scaling.check ~program:name levels with
         | Ok () -> ()
@@ -1009,21 +958,12 @@ let scaling_cmd =
             (List.length lines) file
     in
     write_rows out !rows "scaling";
-    write_rows projection_out !projection_rows "scaling projection";
-    match (svg_file, !last_timeline) with
-    | None, _ -> ()
-    | Some file, Some (name, jobs, t) ->
-        Yashme_util.Atomic_file.write file (Observe.Timeline.svg t);
-        Printf.printf "svg: %s timeline (jobs=%d) written to %s\n" name jobs
-          file
-    | Some _, None ->
-        Printf.eprintf "svg: no timeline was reconstructed\n";
-        exit 1
+    write_rows projection_out !projection_rows "scaling projection"
   in
   let term =
     Term.(
       const run $ progs $ jobs_list_arg $ repeats_arg $ seed $ variant_arg
-      $ out_arg $ projection_out_arg $ svg_arg $ timeline_flag
+      $ out_arg $ projection_out_arg $ timeline_flag
       $ telemetry_term `Scaling)
   in
   Cmd.v

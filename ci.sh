@@ -394,17 +394,15 @@ echo "== scaling observatory"
 scale_out=$(mktemp /tmp/yashme-ci-scale.XXXXXX.jsonl)
 scale_proj=$(mktemp /tmp/yashme-ci-scale-proj.XXXXXX.jsonl)
 scale_proj2=$(mktemp /tmp/yashme-ci-scale-proj2.XXXXXX.jsonl)
-scale_svg=$(mktemp /tmp/yashme-ci-scale.XXXXXX.svg)
 scale_sweep=$(mktemp /tmp/yashme-ci-scale-sweep.XXXXXX.json)
-trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_svg" "$scale_sweep"' EXIT
-# A jobs sweep over one program: the full report, the non-timing
-# projection, and the per-domain timeline SVG must all come out
-# well-formed.
+trap 'rm -f "$trace" "$corpus" "$minimized" "$merged" "$progress" "$cov1" "$cov4" "$bench_cur" "$bench_rerun" "$att1" "$att4" "$ledger" "$soak_m1" "$soak_m2" "$soak_c1" "$soak_c2" "$soak_mr" "$soak_cr" "$soak_prog" ${soak_m1}.s ${soak_m2}.s "$oracle_c1" "$oracle_c4" "$oracle_min" "$oracle_b0" "$oracle_b1" "$scale_out" "$scale_proj" "$scale_proj2" "$scale_sweep"' EXIT
+# A jobs sweep over one program: the full report and the non-timing
+# projection must come out well-formed.  --timeline runs the traced
+# branch (the top level's per-domain timeline).
 dune exec bin/yashme_cli.exe -- scaling Memcached --jobs-list 1,2 \
-  --out "$scale_out" --projection-out "$scale_proj" --svg "$scale_svg" \
+  --out "$scale_out" --projection-out "$scale_proj" --timeline \
   --quiet >/dev/null
 dune exec bin/yashme_cli.exe -- trace-lint "$scale_out"
-dune exec bin/yashme_cli.exe -- trace-lint "$scale_svg"
 # The non-timing projection is a function of the workload alone: a
 # second sweep (levels listed in the opposite order) must reproduce it
 # byte for byte.

@@ -300,7 +300,7 @@ let run_scenario (s : Scenario.t) =
             observed := true;
             Observe.Coverage.oracle_checked ();
             if Observe.Attribution.is_enabled () then
-              Observe.Attribution.charge ct_oracle ~count:1 ~units:!o_ops ();
+              Observe.Attribution.charge ct_oracle ~count:1 ~units:!o_ops ~wall_us:0;
             let vs = oc.oc_check ~observed:!snap in
             List.iter
               (fun _ ->
@@ -516,9 +516,8 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
             let i = Atomic.fetch_and_add next 1 in
             if i < n then begin
               if att then
-                Observe.Attribution.charge ct_queue_wait ~count:1
-                  ~wall_us:(Observe.Trace.now_us () - !idle_since)
-                  ();
+                Observe.Attribution.charge ct_queue_wait ~count:1 ~units:0
+                  ~wall_us:(Observe.Trace.now_us () - !idle_since);
               let s = arr.(i) in
               let gc0 = if att then Some (Gc.quick_stat ()) else None in
               let w0 = if att then Observe.Trace.now_us () else 0 in
@@ -541,18 +540,18 @@ let run ?(jobs = 1) ?(fail_fast = false) scenarios =
                   | Faulted f -> f.f_executions
                 in
                 Observe.Attribution.charge ct_work ~count:1 ~units:execs
-                  ~wall_us:(w1 - w0) ();
+                  ~wall_us:(w1 - w0);
                 (match gc0 with
                 | Some g0 ->
                     let g1 = Gc.quick_stat () in
                     Observe.Attribution.charge ct_gc_minor ~count:1
                       ~units:
                         (int_of_float (g1.Gc.minor_words -. g0.Gc.minor_words))
-                      ();
+                      ~wall_us:0;
                     Observe.Attribution.charge ct_gc_major ~count:1
                       ~units:
                         (int_of_float (g1.Gc.major_words -. g0.Gc.major_words))
-                      ()
+                      ~wall_us:0
                 | None -> ());
                 idle_since := w1
               end;
@@ -654,8 +653,7 @@ let races ?(keep = fun (_ : completed) -> true) run =
   if att then
     Observe.Attribution.charge ct_merge ~count:1
       ~units:(List.length run.results)
-      ~wall_us:(Observe.Trace.now_us () - w0)
-      ();
+      ~wall_us:(Observe.Trace.now_us () - w0);
   merged
 
 (* Faults of a run, in submission order — the list {!Report.dedup}

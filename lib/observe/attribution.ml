@@ -20,9 +20,7 @@ type center = Registry.entry
 let center ?units ?volatile_units name =
   Registry.register ?units ?volatile_units Registry.Center name
 
-let center_name = Registry.name
-
-let charge c ?(count = 1) ?(units = 0) ?(wall_us = 0) () =
+let charge c ~count ~units ~wall_us =
   if Atomic.get enabled then begin
     let slot = Registry.slot () in
     if count <> 0 then Registry.add_in c ~slot Registry.count count;

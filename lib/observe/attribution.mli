@@ -30,15 +30,14 @@ type center
     registration of a name fixes its labels. *)
 val center : ?units:string -> ?volatile_units:bool -> string -> center
 
-val center_name : center -> string
+(** Charge the calling domain's shard: [count] occurrences, [units]
+    charged units and [wall_us] microseconds of wall clock.  No-op when
+    disabled, and allocation-free either way: the arguments are
+    unboxed, not optional. *)
+val charge : center -> count:int -> units:int -> wall_us:int -> unit
 
-(** Charge the calling domain's shard: [count] occurrences (default 1),
-    [units] charged units and [wall_us] microseconds of wall clock.
-    No-op when disabled. *)
-val charge : center -> ?count:int -> ?units:int -> ?wall_us:int -> unit -> unit
-
-(** [charge c ()] minus the optional-argument plumbing: the cheapest
-    possible hot-path hook (one branch, one fetch-and-add). *)
+(** [charge c ~count:1 ~units:0 ~wall_us:0]: the cheapest possible
+    hot-path hook (one branch, one fetch-and-add). *)
 val tick : center -> unit
 
 type row = {

@@ -65,13 +65,12 @@ let acc_of progs key =
       a
 
 (* Run [f] on the calling domain's accumulator for the ambient
-   program; the common disabled / no-ambient-program case is two loads
-   and a branch. *)
+   program.  Every hook tests [enabled] before it builds [f], so a
+   disabled hook is one load and a branch and allocates nothing. *)
 let touch f =
-  if Atomic.get enabled then
-    match Domain.DLS.get ambient with
-    | None -> ()
-    | Some key -> Registry.with_local store (fun progs -> f (acc_of progs key))
+  match Domain.DLS.get ambient with
+  | None -> ()
+  | Some key -> Registry.with_local store (fun progs -> f (acc_of progs key))
 
 let with_program ?(variant = default_variant) program f =
   let saved = Domain.DLS.get ambient in
@@ -80,24 +79,30 @@ let with_program ?(variant = default_variant) program f =
 
 let mark tbl k = if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k ()
 
-let scenario_started () = touch (fun a -> a.a_scenarios <- a.a_scenarios + 1)
-let plan_exercised i = touch (fun a -> mark a.a_plans i)
-let crash_point i = touch (fun a -> mark a.a_crashes i)
-let prefix_expanded () = touch (fun a -> a.a_expansions <- a.a_expansions + 1)
+let scenario_started () =
+  if Atomic.get enabled then touch (fun a -> a.a_scenarios <- a.a_scenarios + 1)
 
-let pruned = function
-  | `Coherence ->
-      touch (fun a -> a.a_pruned_coherence <- a.a_pruned_coherence + 1)
-  | `Persisted ->
-      touch (fun a -> a.a_pruned_persisted <- a.a_pruned_persisted + 1)
+let plan_exercised i = if Atomic.get enabled then touch (fun a -> mark a.a_plans i)
+let crash_point i = if Atomic.get enabled then touch (fun a -> mark a.a_crashes i)
 
-let line_materialized line = touch (fun a -> mark a.a_lines line)
+let prefix_expanded () =
+  if Atomic.get enabled then touch (fun a -> a.a_expansions <- a.a_expansions + 1)
+
+let pruned kind =
+  if Atomic.get enabled then
+    match kind with
+    | `Coherence -> touch (fun a -> a.a_pruned_coherence <- a.a_pruned_coherence + 1)
+    | `Persisted -> touch (fun a -> a.a_pruned_persisted <- a.a_pruned_persisted + 1)
+
+let line_materialized line =
+  if Atomic.get enabled then touch (fun a -> mark a.a_lines line)
 
 let oracle_checked () =
-  touch (fun a -> a.a_oracle_checks <- a.a_oracle_checks + 1)
+  if Atomic.get enabled then touch (fun a -> a.a_oracle_checks <- a.a_oracle_checks + 1)
 
 let oracle_violation () =
-  touch (fun a -> a.a_oracle_violations <- a.a_oracle_violations + 1)
+  if Atomic.get enabled then
+    touch (fun a -> a.a_oracle_violations <- a.a_oracle_violations + 1)
 
 (* ------------------------------------------------------------------ *)
 (* Merge-on-read snapshots                                              *)

@@ -82,18 +82,10 @@ let digest_fields (fields : (string * Yashme_util.Json.value) list) =
 (* ------------------------------------------------------------------ *)
 (* Field classification                                                 *)
 
-let starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
-let ends_with ~suffix s =
-  let ls = String.length suffix and l = String.length s in
-  l >= ls && String.sub s (l - ls) ls = suffix
-
 let timing_field name =
   name = "ts" || name = "elapsed_s" || name = "cpu_s"
-  || ends_with ~suffix:":wall_us" name
-  || starts_with ~prefix:"cc:gc/" name
+  || String.ends_with ~suffix:":wall_us" name
+  || String.starts_with ~prefix:"cc:gc/" name
 
 let identity_field name = name = "run" || name = "v"
 
@@ -151,7 +143,7 @@ let fields e : (string * Yashme_util.Json.value) list =
    first "cc:" and the last ':' is the center name (centers themselves
    contain '/' but never ':'). *)
 let cost_key name =
-  if not (starts_with ~prefix:"cc:" name) then None
+  if not (String.starts_with ~prefix:"cc:" name) then None
   else
     match String.rindex_opt name ':' with
     | None | Some 2 -> None

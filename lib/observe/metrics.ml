@@ -18,7 +18,6 @@ type hstats = { count : int; sum : int; max : int }
 let counter name = Registry.register Registry.Counter name
 let histogram name = Registry.register Registry.Histogram name
 let counter_name = Registry.name
-let histogram_name = Registry.name
 
 let add c n =
   if Atomic.get enabled then Registry.add_in c ~slot:(Registry.slot ()) Registry.count n
@@ -52,8 +51,15 @@ let snapshot () =
     (Registry.snapshot mine)
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
+(* A running maximum has no window difference (after-max minus
+   before-max is not the window's maximum), so a diff drops every
+   [#max] row; whole-run output reads {!snapshot}, whose [#max] is the
+   true maximum. *)
 let diff before after =
-  let cells = List.map (fun (name, v) -> (name, [| v |])) in
+  let cells =
+    List.filter_map (fun (name, v) ->
+        if String.ends_with ~suffix:"#max" name then None else Some (name, [| v |]))
+  in
   List.map
     (fun (name, c) -> (name, c.(Registry.count)))
     (Registry.diff (cells before) (cells after))

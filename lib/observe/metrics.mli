@@ -36,8 +36,6 @@ type histogram
 (** Find-or-create a power-of-two-bucketed histogram. *)
 val histogram : string -> histogram
 
-val histogram_name : histogram -> string
-
 (** Record one (non-negative) sample.  No-op when disabled. *)
 val observe : histogram -> int -> unit
 
@@ -55,7 +53,10 @@ val bucket_counts : histogram -> int array
 val snapshot : unit -> (string * int) list
 
 (** [diff before after] is the per-name delta, dropping zero entries;
-    names absent from [before] count as zero there. *)
+    names absent from [before] count as zero there.  A diff carries no
+    [name#max] rows: a running maximum has no window difference, so the
+    maximum of a window is not recoverable from two snapshots.  Whole-run
+    output reads {!snapshot}, whose [#max] is the true maximum. *)
 val diff : (string * int) list -> (string * int) list -> (string * int) list
 
 (** Zero every registered cell (the registry itself is kept). *)

@@ -2,7 +2,8 @@
 
    [yashme profile trace.json] re-reads a file written by
    [--trace-out] and aggregates its Complete spans into per-name /
-   per-category self-time tables plus a per-lane utilization summary.
+   per-category self-time tables.  The per-lane summary is
+   {!Timeline}'s, over the same {!group_lanes}.
 
    Self time is a span's duration minus the durations of its direct
    children, where nesting is interval containment within one
@@ -64,14 +65,6 @@ let parse_file path =
 
 type row = { r_key : string; r_count : int; r_total_us : int; r_self_us : int }
 
-type lane = {
-  l_pid : int;
-  l_tid : int;
-  l_spans : int;
-  l_instants : int;
-  l_busy_us : int;  (* summed duration of top-level spans *)
-}
-
 (* Parents-first ordering within a lane: ascending start, longer spans
    first on ties (same rule {!Trace.events} exports with). *)
 let lane_sort evs =
@@ -95,7 +88,7 @@ let group_lanes events =
 (* Stack scan of one lane's spans: a span whose interval is contained
    in the stack top is its child; its duration is charged to the
    parent's child-time, making parent self = dur - children.  Calls
-   [f ev ~self_us ~top_level] for every Complete span. *)
+   [f ev ~self_us] for every Complete span. *)
 let scan_lane evs f =
   let spans =
     lane_sort (List.filter (fun (e : Trace.event) -> e.Trace.ph = Trace.Complete) evs)
@@ -104,7 +97,6 @@ let scan_lane evs f =
   let stack = ref [] in
   let pop (_, children, (ev : Trace.event)) =
     f ev ~self_us:(max 0 (ev.Trace.dur_us - !children))
-      ~top_level:(!stack = [])
   in
   let rec unwind ts =
     match !stack with
@@ -129,7 +121,7 @@ let aggregate ~key events =
   let tbl : (string, int * int * int) Hashtbl.t = Hashtbl.create 32 in
   List.iter
     (fun (_, evs) ->
-      scan_lane evs (fun ev ~self_us ~top_level:_ ->
+      scan_lane evs (fun ev ~self_us ->
           let k = key ev in
           let count, total, self =
             Option.value ~default:(0, 0, 0) (Hashtbl.find_opt tbl k)
@@ -153,19 +145,3 @@ let by_cat events =
     ~key:(fun (e : Trace.event) ->
       if e.Trace.cat = "" then "(uncategorized)" else e.Trace.cat)
     events
-
-let lanes events =
-  List.map
-    (fun ((pid, tid), evs) ->
-      let spans = ref 0 and instants = ref 0 and busy = ref 0 in
-      List.iter
-        (fun (e : Trace.event) ->
-          match e.Trace.ph with
-          | Trace.Instant -> incr instants
-          | Trace.Complete -> incr spans)
-        evs;
-      scan_lane evs (fun ev ~self_us:_ ~top_level ->
-          if top_level then busy := !busy + ev.Trace.dur_us);
-      { l_pid = pid; l_tid = tid; l_spans = !spans; l_instants = !instants;
-        l_busy_us = !busy })
-    (group_lanes events)

@@ -18,6 +18,11 @@ type row = {
   r_self_us : int;  (** summed duration minus direct children *)
 }
 
+(** Events grouped by (pid, tid) lane, in input order within a lane;
+    lanes sorted by (pid, tid).  {!Timeline} reconstructs the same
+    lanes. *)
+val group_lanes : Trace.event list -> ((int * int) * Trace.event list) list
+
 (** Aggregate by span name, sorted by self time descending (name
     ascending on ties). *)
 val by_name : Trace.event list -> row list
@@ -25,14 +30,3 @@ val by_name : Trace.event list -> row list
 (** Aggregate by category; empty categories group under
     ["(uncategorized)"]. *)
 val by_cat : Trace.event list -> row list
-
-type lane = {
-  l_pid : int;
-  l_tid : int;
-  l_spans : int;
-  l_instants : int;
-  l_busy_us : int;  (** summed duration of top-level spans *)
-}
-
-(** Per-(pid, tid) lane summary, sorted by (pid, tid). *)
-val lanes : Trace.event list -> lane list

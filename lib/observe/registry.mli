@@ -56,7 +56,10 @@ val snapshot : (kind -> bool) -> (entry * int array) list
 
 (** The one diff of every view: [diff before after] is [after - before]
     per name, column by column, dropping all-zero rows; names absent
-    from [before] count as zero there. *)
+    from [before] count as zero there.  Only additive columns have a
+    window difference: a histogram's {!max} is a running maximum, so
+    views leave it out of what they diff ({!Metrics.diff} carries no
+    [#max] rows) and show it only from a {!snapshot}. *)
 val diff :
   (string * int array) list -> (string * int array) list -> (string * int array) list
 

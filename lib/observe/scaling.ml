@@ -1,7 +1,7 @@
 (* Jobs-sweep analysis: where does parallel wall-clock go?
 
    The driver runs the same program at several --jobs levels and hands
-   this module one {!level} per job count.  The analysis derives
+   this module one {!Ledger.entry} per job count.  The analysis derives
    speedup and parallel efficiency against the lowest-jobs reference
    level, fits an Amdahl serial fraction across the multi-domain
    levels, and sets the lost domain-seconds of each level against the
@@ -14,44 +14,23 @@
    [fields ~timing:false] projection of a sweep is byte-stable and CI
    cmp-able, and {!check} enforces that invariance across the sweep's
    own levels.  Wall clocks, speedup, efficiency, serial fraction and
-   GC word deltas are scheduling-dependent and render only in the full
+   GC word deltas (the entry's [e_cost] wall and [gc/*] columns) are
+   scheduling-dependent and render only in the full
    ([~timing:true]) rows. *)
 
-type level = {
-  v_jobs : int;
-  v_elapsed_s : float;
-  v_cpu_s : float;
-  v_scenarios : int;
-  v_completed : int;
-  v_faulted : int;
-  v_executions : int;
-  v_ops : int;
-  v_races : int;
-  v_witnesses : int;
-  v_snapshot_bytes : int;  (* px86/snapshot_copy charged units *)
-  v_queue_wait_us : int;  (* engine/queue_wait wall *)
-  v_snapshot_us : int;  (* px86/snapshot_copy wall *)
-  v_merge_us : int;  (* engine/merge wall *)
-  v_gc_minor_words : int;  (* volatile: process-global GC deltas *)
-  v_gc_major_words : int;
-}
+(* A level is the run's ledger entry; the cost-center columns the
+   analysis needs are read from its [e_cost] (absent centers read as
+   zero). *)
+let cost_column name column (e : Ledger.entry) =
+  match List.find_opt (fun c -> c.Ledger.c_center = name) e.Ledger.e_cost with
+  | Some c -> column c
+  | None -> 0
 
-(* Pull the cost-center quantities a level needs out of an
-   [Attribution.diff] window. *)
-let of_attribution rows =
-  let find name = List.find_opt (fun r -> r.Attribution.r_center = name) rows in
-  let wall name =
-    match find name with Some r -> r.Attribution.r_wall_us | None -> 0
-  in
-  let units name =
-    match find name with Some r -> r.Attribution.r_units | None -> 0
-  in
-  ( units "px86/snapshot_copy",
-    wall "engine/queue_wait",
-    wall "px86/snapshot_copy",
-    wall "engine/merge",
-    units "gc/minor",
-    units "gc/major" )
+let units name = cost_column name (fun c -> c.Ledger.c_units)
+let wall_us name = cost_column name (fun c -> c.Ledger.c_wall_us)
+let seconds us = float_of_int us /. 1_000_000.
+let jobs (e : Ledger.entry) = e.Ledger.e_jobs
+let elapsed (e : Ledger.entry) = e.Ledger.e_elapsed_s
 
 (* Interleaved best-of-N: a fixed jobs=1-first order would hand every
    later level a warmed allocator and memoized setup, so each pass
@@ -81,7 +60,7 @@ type derived = {
 type analysis = {
   a_program : string;
   a_reference_jobs : int;
-  a_levels : (level * derived) list;  (* ascending jobs *)
+  a_levels : (Ledger.entry * derived) list;  (* ascending jobs *)
   a_serial_fraction : float option;  (* Amdahl fit over jobs > reference *)
   a_loss_centers : (string * float) list;
       (* lost seconds by named center at the highest level, descending *)
@@ -100,13 +79,13 @@ let amdahl_fraction ~n ~speedup =
   else Some (clamp01 ((n /. speedup -. 1.) /. (n -. 1.)))
 
 let analyze ~program levels =
-  match List.sort (fun a b -> compare a.v_jobs b.v_jobs) levels with
+  match List.sort (fun a b -> compare (jobs a) (jobs b)) levels with
   | [] -> Error "scaling analysis needs at least one jobs level"
   | reference :: _ as sorted ->
       let dup =
         let rec find = function
           | a :: (b :: _ as rest) ->
-              if a.v_jobs = b.v_jobs then Some a.v_jobs else find rest
+              if jobs a = jobs b then Some (jobs a) else find rest
           | _ -> None
         in
         find sorted
@@ -114,13 +93,11 @@ let analyze ~program levels =
       (match dup with
       | Some j -> Error (Printf.sprintf "duplicate jobs level %d" j)
       | None ->
-          let t_ref = reference.v_elapsed_s in
+          let t_ref = elapsed reference in
           let derive l =
-            let n =
-              float_of_int l.v_jobs /. float_of_int (max 1 reference.v_jobs)
-            in
+            let n = float_of_int (jobs l) /. float_of_int (max 1 (jobs reference)) in
             let speedup =
-              if l.v_elapsed_s > 0. then finite (t_ref /. l.v_elapsed_s) else 0.
+              if elapsed l > 0. then finite (t_ref /. elapsed l) else 0.
             in
             let efficiency = if n > 0. then finite (speedup /. n) else 0. in
             {
@@ -129,7 +106,7 @@ let analyze ~program levels =
               d_serial_fraction = amdahl_fraction ~n ~speedup;
               d_lost_s =
                 Float.max 0.
-                  ((float_of_int l.v_jobs *. l.v_elapsed_s) -. t_ref);
+                  ((float_of_int (jobs l) *. elapsed l) -. t_ref);
             }
           in
           let pairs = List.map (fun l -> (l, derive l)) sorted in
@@ -146,13 +123,10 @@ let analyze ~program levels =
             match List.rev pairs with
             | [] -> []
             | (top, d) :: _ ->
-                let s us = float_of_int us /. 1_000_000. in
                 let named =
-                  [
-                    ("engine/queue_wait", s top.v_queue_wait_us);
-                    ("px86/snapshot_copy", s top.v_snapshot_us);
-                    ("engine/merge", s top.v_merge_us);
-                  ]
+                  List.map
+                    (fun c -> (c, seconds (wall_us c top)))
+                    [ "engine/queue_wait"; "px86/snapshot_copy"; "engine/merge" ]
                 in
                 let accounted =
                   List.fold_left (fun acc (_, v) -> acc +. v) 0. named
@@ -165,7 +139,7 @@ let analyze ~program levels =
           Ok
             {
               a_program = program;
-              a_reference_jobs = reference.v_jobs;
+              a_reference_jobs = jobs reference;
               a_levels = pairs;
               a_serial_fraction = fitted;
               a_loss_centers = loss_centers;
@@ -183,33 +157,33 @@ let fields ?(timing = true) ~program (l, d) :
   let invariant =
     [
       ("program", `S program);
-      ("jobs", `I l.v_jobs);
-      ("scenarios", `I l.v_scenarios);
-      ("completed", `I l.v_completed);
-      ("faulted", `I l.v_faulted);
-      ("executions", `I l.v_executions);
-      ("ops", `I l.v_ops);
-      ("races", `I l.v_races);
-      ("witnesses", `I l.v_witnesses);
-      ("snapshot_bytes", `I l.v_snapshot_bytes);
+      ("jobs", `I l.Ledger.e_jobs);
+      ("scenarios", `I l.Ledger.e_scenarios);
+      ("completed", `I l.Ledger.e_completed);
+      ("faulted", `I l.Ledger.e_faulted);
+      ("executions", `I l.Ledger.e_executions);
+      ("ops", `I l.Ledger.e_ops);
+      ("races", `I l.Ledger.e_races);
+      ("witnesses", `I l.Ledger.e_witnesses);
+      ("snapshot_bytes", `I (units "px86/snapshot_copy" l));
     ]
   in
   if not timing then invariant
   else
     invariant
     @ [
-        ("elapsed_s", `F l.v_elapsed_s);
-        ("cpu_s", `F l.v_cpu_s);
+        ("elapsed_s", `F l.Ledger.e_elapsed_s);
+        ("cpu_s", `F l.Ledger.e_cpu_s);
         ("speedup", `F d.d_speedup);
         ("efficiency", `F d.d_efficiency);
         ( "serial_fraction",
           match d.d_serial_fraction with Some s -> `F s | None -> `Null );
         ("lost_s", `F d.d_lost_s);
-        ("queue_wait_s", `F (float_of_int l.v_queue_wait_us /. 1_000_000.));
-        ("snapshot_s", `F (float_of_int l.v_snapshot_us /. 1_000_000.));
-        ("merge_s", `F (float_of_int l.v_merge_us /. 1_000_000.));
-        ("gc_minor_words", `I l.v_gc_minor_words);
-        ("gc_major_words", `I l.v_gc_major_words);
+        ("queue_wait_s", `F (seconds (wall_us "engine/queue_wait" l)));
+        ("snapshot_s", `F (seconds (wall_us "px86/snapshot_copy" l)));
+        ("merge_s", `F (seconds (wall_us "engine/merge" l)));
+        ("gc_minor_words", `I (units "gc/minor" l));
+        ("gc_major_words", `I (units "gc/major" l));
       ]
 
 (* The sweep's own determinism check: every level's non-timing
@@ -217,7 +191,7 @@ let fields ?(timing = true) ~program (l, d) :
    level's.  Names the first diverging field, so a violation of the
    engine's determinism contract is diagnosable from the CI log. *)
 let check ~program levels =
-  match List.sort (fun a b -> compare a.v_jobs b.v_jobs) levels with
+  match List.sort (fun a b -> compare (jobs a) (jobs b)) levels with
   | [] -> Error "scaling check needs at least one jobs level"
   | reference :: rest ->
       let zero = { d_speedup = 0.; d_efficiency = 0.; d_serial_fraction = None; d_lost_s = 0. } in
@@ -240,7 +214,7 @@ let check ~program levels =
                 Error
                   (Printf.sprintf
                      "non-timing field %S differs between jobs=%d and jobs=%d"
-                     k reference.v_jobs l.v_jobs)
+                     k (jobs reference) (jobs l))
             | None -> scan rest)
       in
       scan rest
@@ -265,15 +239,15 @@ let pp ppf a =
     List.map
       (fun (l, d) ->
         [
-          string_of_int l.v_jobs;
-          fmt_s l.v_elapsed_s;
+          string_of_int (jobs l);
+          fmt_s (elapsed l);
           Printf.sprintf "%.2fx" d.d_speedup;
           Printf.sprintf "%.1f%%" (100. *. d.d_efficiency);
-          fmt_s (float_of_int l.v_queue_wait_us /. 1_000_000.);
-          fmt_s (float_of_int l.v_snapshot_us /. 1_000_000.);
-          fmt_s (float_of_int l.v_merge_us /. 1_000_000.);
-          fmt_words l.v_gc_minor_words;
-          (if l.v_jobs = a.a_reference_jobs then "-" else fmt_s d.d_lost_s);
+          fmt_s (seconds (wall_us "engine/queue_wait" l));
+          fmt_s (seconds (wall_us "px86/snapshot_copy" l));
+          fmt_s (seconds (wall_us "engine/merge" l));
+          fmt_words (units "gc/minor" l);
+          (if jobs l = a.a_reference_jobs then "-" else fmt_s d.d_lost_s);
         ])
       a.a_levels
   in
@@ -287,7 +261,7 @@ let pp ppf a =
   | [] -> ()
   | centers ->
       Format.fprintf ppf "@,  loss centers at jobs=%d: %s"
-        (match List.rev a.a_levels with (l, _) :: _ -> l.v_jobs | [] -> 0)
+        (match List.rev a.a_levels with (l, _) :: _ -> jobs l | [] -> 0)
         (String.concat ", "
            (List.map (fun (n, v) -> Printf.sprintf "%s %s" n (fmt_s v)) centers)));
   Format.fprintf ppf "@]"

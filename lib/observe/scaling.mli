@@ -2,38 +2,14 @@
     fraction, and a named decomposition of lost parallel wall-clock.
 
     The driver runs the same program at several [--jobs] levels and
-    feeds one {!level} per count; {!analyze} derives everything else.
-    Columns follow {!Attribution}'s two classes: counts and charged
-    units are jobs-invariant and form the byte-stable
+    feeds one {!Ledger.entry} per count (the run record every command
+    writes, its [e_cost] carrying the cost-center window around the
+    run); {!analyze} derives everything else.  Columns follow
+    {!Attribution}'s two classes: counts and charged units are
+    jobs-invariant and form the byte-stable
     [fields ~timing:false] projection ({!check} enforces it across a
     sweep), while wall clocks, speedup/efficiency and GC word deltas
     are scheduling-dependent and appear only in full rows. *)
-
-(** One observed jobs level: engine stats plus the cost-center window
-    ({!Attribution.diff}) around the run. *)
-type level = {
-  v_jobs : int;
-  v_elapsed_s : float;
-  v_cpu_s : float;
-  v_scenarios : int;
-  v_completed : int;
-  v_faulted : int;
-  v_executions : int;
-  v_ops : int;
-  v_races : int;
-  v_witnesses : int;
-  v_snapshot_bytes : int;  (** px86/snapshot_copy charged units *)
-  v_queue_wait_us : int;  (** engine/queue_wait wall *)
-  v_snapshot_us : int;  (** px86/snapshot_copy wall *)
-  v_merge_us : int;  (** engine/merge wall *)
-  v_gc_minor_words : int;  (** volatile GC word delta over the run *)
-  v_gc_major_words : int;
-}
-
-(** Extract [(snapshot_bytes, queue_wait_us, snapshot_us, merge_us,
-    gc_minor_words, gc_major_words)] from an {!Attribution.diff}
-    window; absent centers read as zero. *)
-val of_attribution : Attribution.row list -> int * int * int * int * int * int
 
 (** The jobs-sweep driver of [yashme scaling] and the bench:
     [sweep ~repeats ~levels ~elapsed run] makes [repeats] (at least one)
@@ -60,7 +36,7 @@ type derived = {
 type analysis = {
   a_program : string;
   a_reference_jobs : int;  (** lowest jobs level: the speedup baseline *)
-  a_levels : (level * derived) list;  (** ascending jobs *)
+  a_levels : (Ledger.entry * derived) list;  (** ascending jobs *)
   a_serial_fraction : float option;
       (** mean per-level Amdahl estimate over levels above the
           reference; [None] for a single-level sweep *)
@@ -71,13 +47,13 @@ type analysis = {
 
 (** Errors on an empty sweep or duplicate jobs levels; otherwise sorts
     ascending and derives per-level and fitted quantities. *)
-val analyze : program:string -> level list -> (analysis, string) result
+val analyze : program:string -> Ledger.entry list -> (analysis, string) result
 
 (** The engine-determinism check a sweep carries its own evidence for:
     every level's non-timing projection (minus the [jobs] identity)
     must match the reference level's.  Names the first diverging
     field. *)
-val check : program:string -> level list -> (unit, string) result
+val check : program:string -> Ledger.entry list -> (unit, string) result
 
 (** Flat JSONL row for one level ({!Yashme_util.Json.encode_obj} shape).
     [timing:false] keeps only the jobs-invariant class; the full row
@@ -86,7 +62,7 @@ val check : program:string -> level list -> (unit, string) result
 val fields :
   ?timing:bool ->
   program:string ->
-  level * derived ->
+  Ledger.entry * derived ->
   (string * Yashme_util.Json.value) list
 
 (** Aligned per-level table plus the serial-fraction fit and the

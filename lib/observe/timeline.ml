@@ -19,9 +19,10 @@
    the largest per-lane busy total — a lower bound on the makespan any
    schedule could reach with this work partition.
 
-   Rendering is dependency-free: an ASCII lane chart, a hand-built SVG
-   document (checked by {!check_svg}, the trace-lint analogue for the
-   CI artifact), and flat JSONL field lists for {!Yashme_util.Json}. *)
+   Lanes are grouped by {!Profile.group_lanes}, the grouping the
+   hot-spot tables use, and rendered as an ASCII lane chart and a
+   per-lane table.  A graphical view of the same lanes is the Chrome
+   trace ([--trace-out]) itself. *)
 
 type kind = Busy | Wait | Idle
 
@@ -35,7 +36,6 @@ type lane = {
   tl_busy_us : int;
   tl_wait_us : int;
   tl_idle_us : int;
-  tl_first_us : int;  (* first busy microsecond (window start if none) *)
   tl_last_us : int;  (* last busy microsecond (window start if none) *)
   tl_utilization : float;  (* busy / window *)
   tl_gaps : int list;  (* non-busy gap lengths between busy segments *)
@@ -43,10 +43,8 @@ type lane = {
 
 type t = {
   t_start_us : int;
-  t_end_us : int;
   t_makespan_us : int;
   t_lanes : lane list;  (* sorted by (pid, tid) *)
-  t_busy_us : int;
   t_critical_path_us : int;
   t_utilization : float;  (* busy / (lanes * makespan) *)
   t_straggler : (int * int) option;  (* lane whose busy cover ends last *)
@@ -112,18 +110,6 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
   match spans with
   | [] -> Error "empty trace: no complete spans to reconstruct lanes from"
   | _ ->
-      (* Group by lane; input order is irrelevant (events may arrive
-         out of order), every computation below is over interval
-         unions. *)
-      let lanes_tbl : (int * int, Trace.event list) Hashtbl.t =
-        Hashtbl.create 8
-      in
-      List.iter
-        (fun (e : Trace.event) ->
-          let key = (e.Trace.pid, e.Trace.tid) in
-          let prev = Option.value ~default:[] (Hashtbl.find_opt lanes_tbl key) in
-          Hashtbl.replace lanes_tbl key (e :: prev))
-        spans;
       let window_start =
         List.fold_left (fun m e -> min m (fst (span_interval e))) max_int spans
       in
@@ -162,9 +148,6 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
             @ List.map (fun (a, b) -> { g_start_us = a; g_end_us = b; g_kind = Idle }) idle)
         in
         let busy_us = interval_total busy in
-        let first_us =
-          match busy with (a, _) :: _ -> a | [] -> window_start
-        in
         let last_us =
           match List.rev busy with (_, b) :: _ -> b | [] -> window_start
         in
@@ -186,7 +169,6 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
           tl_busy_us = busy_us;
           tl_wait_us = interval_total wait;
           tl_idle_us = interval_total idle;
-          tl_first_us = first_us;
           tl_last_us = last_us;
           tl_utilization =
             (if makespan > 0 then float_of_int busy_us /. float_of_int makespan
@@ -194,10 +176,10 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
           tl_gaps = gaps;
         }
       in
+      (* Input order within a lane is irrelevant (events may arrive out
+         of order): every computation above is over interval unions. *)
       let lanes =
-        Hashtbl.fold (fun key evs acc -> lane_of key evs :: acc) lanes_tbl []
-        |> List.sort (fun a b ->
-               compare (a.tl_pid, a.tl_tid) (b.tl_pid, b.tl_tid))
+        List.map (fun (key, evs) -> lane_of key evs) (Profile.group_lanes spans)
       in
       let busy_total = List.fold_left (fun s l -> s + l.tl_busy_us) 0 lanes in
       let critical = List.fold_left (fun m l -> max m l.tl_busy_us) 0 lanes in
@@ -215,10 +197,8 @@ let of_events ?(work_cat = "scenario") ?(alive_name = "worker") events =
       Ok
         {
           t_start_us = window_start;
-          t_end_us = window_end;
           t_makespan_us = makespan;
           t_lanes = lanes;
-          t_busy_us = busy_total;
           t_critical_path_us = critical;
           t_utilization =
             (let cap = makespan * List.length lanes in
@@ -307,272 +287,7 @@ let ascii ?(width = 64) t =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* SVG export                                                           *)
-
-let xml_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-(* A dependency-free lane chart: one <rect> per segment, one row per
-   lane.  Coordinates are integers, colors are fixed; the document
-   passes {!check_svg}, which CI runs on the emitted artifact. *)
-let svg ?(width = 800) t =
-  let width = max 100 width in
-  let row_h = 18 and row_gap = 4 and label_w = 64 and margin = 8 in
-  let chart_w = width - label_w - (2 * margin) in
-  let n = List.length t.t_lanes in
-  let height = (2 * margin) + (n * (row_h + row_gap)) + 16 in
-  let span = max 1 t.t_makespan_us in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"%d\" height=\"%d\" \
-        viewBox=\"0 0 %d %d\">\n"
-       width height width height);
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<title>%s</title>\n"
-       (xml_escape
-          (Printf.sprintf "engine lanes: makespan %dus, %d lane(s)" t.t_makespan_us n)));
-  List.iteri
-    (fun i l ->
-      let y = margin + (i * (row_h + row_gap)) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "<text x=\"%d\" y=\"%d\" font-family=\"monospace\" font-size=\"11\">%s</text>\n"
-           margin
-           (y + row_h - 5)
-           (xml_escape (Printf.sprintf "%d/%d" l.tl_pid l.tl_tid)));
-      List.iter
-        (fun g ->
-          let x0 = (g.g_start_us - t.t_start_us) * chart_w / span in
-          let x1 = (g.g_end_us - t.t_start_us) * chart_w / span in
-          let w = max 1 (x1 - x0) in
-          let fill =
-            match g.g_kind with
-            | Busy -> "#4c9f70"
-            | Wait -> "#e0b23c"
-            | Idle -> "#e5e5e5"
-          in
-          Buffer.add_string buf
-            (Printf.sprintf
-               "<rect x=\"%d\" y=\"%d\" width=\"%d\" height=\"%d\" fill=\"%s\"/>\n"
-               (label_w + margin + x0) y w row_h fill))
-        l.tl_segments)
-    t.t_lanes;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "<text x=\"%d\" y=\"%d\" font-family=\"monospace\" font-size=\"10\">%s</text>\n"
-       margin (height - margin)
-       (xml_escape
-          (Printf.sprintf
-             "busy (green) / queue-wait (amber) / idle (grey); pool utilization %.0f%%"
-             (100. *. t.t_utilization))));
-  Buffer.add_string buf "</svg>\n";
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* SVG well-formedness (trace-lint for the SVG artifact)                *)
-
-(* A small XML well-formedness scanner: tags must balance, attributes must be quoted,
-   text may only use the five predefined entities.  No DOM is built. *)
-let check_svg s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let err msg = Error (Printf.sprintf "at offset %d: %s" !pos msg) in
-  let is_name_char c =
-    (c >= 'a' && c <= 'z')
-    || (c >= 'A' && c <= 'Z')
-    || (c >= '0' && c <= '9')
-    || c = '-' || c = '_' || c = ':' || c = '.'
-  in
-  let read_name () =
-    let start = !pos in
-    while !pos < n && is_name_char s.[!pos] do
-      incr pos
-    done;
-    String.sub s start (!pos - start)
-  in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let check_entity () =
-    (* at '&': require one of the predefined entities *)
-    let ok e = String.length s - !pos >= String.length e
-               && String.sub s !pos (String.length e) = e in
-    match
-      List.find_opt ok [ "&amp;"; "&lt;"; "&gt;"; "&quot;"; "&apos;" ]
-    with
-    | Some e ->
-        pos := !pos + String.length e;
-        true
-    | None -> false
-  in
-  let rec attrs () =
-    skip_ws ();
-    if !pos >= n then err "unterminated tag"
-    else
-      match s.[!pos] with
-      | '>' | '/' -> Ok ()
-      | c when is_name_char c -> (
-          let _ = read_name () in
-          if !pos >= n || s.[!pos] <> '=' then err "attribute without '='"
-          else begin
-            incr pos;
-            if !pos >= n || s.[!pos] <> '"' then err "unquoted attribute value"
-            else begin
-              incr pos;
-              let bad = ref None in
-              while !pos < n && s.[!pos] <> '"' && !bad = None do
-                if s.[!pos] = '<' then bad := Some "'<' in attribute value"
-                else if s.[!pos] = '&' then begin
-                  if not (check_entity ()) then bad := Some "bad entity"
-                end
-                else incr pos
-              done;
-              match !bad with
-              | Some msg -> err msg
-              | None ->
-                  if !pos >= n then err "unterminated attribute value"
-                  else begin
-                    incr pos;
-                    attrs ()
-                  end
-            end
-          end)
-      | _ -> err "malformed tag"
-  in
-  let rec scan stack seen_root =
-    if !pos >= n then
-      match stack with
-      | [] -> if seen_root then Ok () else Error "no root element"
-      | tag :: _ -> Error (Printf.sprintf "unclosed element <%s>" tag)
-    else
-      match s.[!pos] with
-      | '<' ->
-          incr pos;
-          if !pos < n && s.[!pos] = '/' then begin
-            incr pos;
-            let name = read_name () in
-            skip_ws ();
-            if !pos >= n || s.[!pos] <> '>' then err "malformed closing tag"
-            else begin
-              incr pos;
-              match stack with
-              | top :: rest when top = name -> scan rest seen_root
-              | top :: _ ->
-                  Error (Printf.sprintf "</%s> closes <%s>" name top)
-              | [] -> Error (Printf.sprintf "</%s> without opener" name)
-            end
-          end
-          else if !pos < n && s.[!pos] = '?' then begin
-            (* <?xml ...?> prolog *)
-            match String.index_from_opt s !pos '>' with
-            | Some i ->
-                pos := i + 1;
-                scan stack seen_root
-            | None -> err "unterminated processing instruction"
-          end
-          else begin
-            let name = read_name () in
-            if name = "" then err "empty tag name"
-            else if stack = [] && seen_root then
-              Error "content after the root element"
-            else
-              match attrs () with
-              | Error _ as e -> e
-              | Ok () ->
-                  if s.[!pos] = '/' then begin
-                    incr pos;
-                    if !pos >= n || s.[!pos] <> '>' then err "malformed self-close"
-                    else begin
-                      incr pos;
-                      scan stack true
-                    end
-                  end
-                  else begin
-                    incr pos;
-                    scan (name :: stack) true
-                  end
-          end
-      | '&' ->
-          if check_entity () then scan stack seen_root else err "bad entity"
-      | _ ->
-          if stack = [] && not (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-          then err "text outside the root element"
-          else begin
-            incr pos;
-            scan stack seen_root
-          end
-  in
-  pos := 0;
-  if String.trim s = "" then Error "empty SVG document"
-  else
-    match scan [] false with
-    | Ok () ->
-        (* The artifact contract: the root element is an <svg>. *)
-        let t = String.trim s in
-        let root_ok =
-          String.length t > 5
-          && (String.sub t 0 5 = "<svg " || String.sub t 0 5 = "<svg>")
-        in
-        let rec past_prolog t =
-          if String.length t > 2 && String.sub t 0 2 = "<?" then
-            match String.index_opt t '>' with
-            | Some i ->
-                past_prolog
-                  (String.trim (String.sub t (i + 1) (String.length t - i - 1)))
-            | None -> t
-          else t
-        in
-        let t = past_prolog t in
-        if root_ok
-           || (String.length t > 5
-              && (String.sub t 0 5 = "<svg " || String.sub t 0 5 = "<svg>"))
-        then Ok ()
-        else Error "root element is not <svg>"
-    | Error _ as e -> e
-
-let check_svg_file path =
-  let data = In_channel.with_open_bin path In_channel.input_all in
-  match check_svg data with
-  | Ok () -> Ok ()
-  | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-
-(* ------------------------------------------------------------------ *)
-(* Flat export + tables                                                 *)
-
-(* One flat object per lane, through {!Yashme_util.Json}.  All wall-clock
-   class: timeline exports are timing artifacts and are NOT expected to
-   be byte-stable across runs or --jobs counts (unlike the scaling
-   report's non-timing projection). *)
-let lane_fields t l : (string * Yashme_util.Json.value) list =
-  [
-    ("pid", `I l.tl_pid);
-    ("tid", `I l.tl_tid);
-    ("spans", `I l.tl_spans);
-    ("busy_us", `I l.tl_busy_us);
-    ("wait_us", `I l.tl_wait_us);
-    ("idle_us", `I l.tl_idle_us);
-    ("utilization", `F l.tl_utilization);
-    ("first_us", `I (l.tl_first_us - t.t_start_us));
-    ("last_us", `I (l.tl_last_us - t.t_start_us));
-    ("max_gap_us", `I (max_gap_us l));
-    ("gap_histogram", `S (histogram_label l));
-  ]
+(* Table                                                                *)
 
 let fmt_ms us = Printf.sprintf "%.3fms" (float_of_int us /. 1000.)
 

@@ -23,7 +23,6 @@ type lane = {
   tl_busy_us : int;
   tl_wait_us : int;
   tl_idle_us : int;
-  tl_first_us : int;  (** first busy microsecond (window start if none) *)
   tl_last_us : int;  (** last busy microsecond (window start if none) *)
   tl_utilization : float;  (** busy / window *)
   tl_gaps : int list;  (** non-busy gap lengths between busy segments *)
@@ -31,10 +30,8 @@ type lane = {
 
 type t = {
   t_start_us : int;
-  t_end_us : int;
   t_makespan_us : int;
   t_lanes : lane list;  (** sorted by (pid, tid) *)
-  t_busy_us : int;
   t_critical_path_us : int;
       (** largest per-lane busy total: a lower bound on the makespan
           any schedule could reach with this work partition *)
@@ -69,22 +66,6 @@ val max_gap_us : lane -> int
     space idle, plus a legend line.  [width] (default 64) is the
     number of time buckets. *)
 val ascii : ?width:int -> t -> string
-
-(** Dependency-free SVG lane chart; the document passes {!check_svg}. *)
-val svg : ?width:int -> t -> string
-
-(** XML well-formedness check for the SVG artifact (trace-lint
-    analogue): balanced tags, quoted attributes, predefined entities
-    only, root element [<svg>]. *)
-val check_svg : string -> (unit, string) result
-
-val check_svg_file : string -> (unit, string) result
-
-(** One flat JSONL object per lane ({!Yashme_util.Json.encode_obj}
-    shape).  Timestamps are window-relative.  All wall-clock class:
-    timeline exports are timing artifacts, not byte-stable across
-    runs. *)
-val lane_fields : t -> lane -> (string * Yashme_util.Json.value) list
 
 (** The per-lane utilization / idle-gap table. *)
 val pp : Format.formatter -> t -> unit

@@ -25,12 +25,13 @@ let unescape s =
   let rec go i =
     if i >= n then Ok (Buffer.contents buf)
     else if s.[i] = '\\' then
-      if i + 3 < n && s.[i + 1] = 'x' then
-        match int_of_string_opt ("0x" ^ String.sub s (i + 2) 2) with
-        | Some c ->
-            Buffer.add_char buf (Char.chr c);
-            go (i + 4)
-        | None -> Error (Printf.sprintf "bad escape in label %S" s)
+      let hex c = match c with '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false in
+      (* Two hex digits exactly: [int_of_string] alone would also take
+         "1_" (digit separators) as 1. *)
+      if i + 3 < n && s.[i + 1] = 'x' && hex s.[i + 2] && hex s.[i + 3] then begin
+        Buffer.add_char buf (Char.chr (int_of_string ("0x" ^ String.sub s (i + 2) 2)));
+        go (i + 4)
+      end
       else Error (Printf.sprintf "bad escape in label %S" s)
     else (
       Buffer.add_char buf s.[i];

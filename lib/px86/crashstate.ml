@@ -51,7 +51,7 @@ let hydrate t =
     Observe.Metrics.incr m_copies;
     Observe.Metrics.add m_bytes bytes;
     Observe.Attribution.charge ct_copy ~count:1 ~units:bytes
-      ~wall_us:(Observe.Trace.now_us () - t0) ()
+      ~wall_us:(Observe.Trace.now_us () - t0)
   end;
   image
 

@@ -566,8 +566,7 @@ let run ?detector ?inherited ?(plan = Run_to_end) ?(sb_policy = Machine.Eager)
   if att then
     Observe.Attribution.charge att_phase_centers.(phase_of_exec_id exec_id)
       ~count:1 ~units:st.ops
-      ~wall_us:(Observe.Trace.now_us () - att_t0)
-      ();
+      ~wall_us:(Observe.Trace.now_us () - att_t0);
   (match span_t0 with
   | Some ts ->
       Observe.Trace.complete ~cat:"executor"

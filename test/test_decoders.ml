@@ -1,9 +1,9 @@
 (* Decoder fuzzing over real emitted files.
 
    Each artifact below is written by its real emitter — a check-all
-   witness corpus, a run ledger, a soak manifest, bench rows,
-   attribution rows, a Chrome trace and a JSONL trace — and then
-   damaged:
+   witness corpus (also rewritten as format v1/v2 lines), a run ledger,
+   a soak manifest, bench rows, attribution rows, a Chrome trace and a
+   JSONL trace — and then damaged:
 
    - truncated at a random byte: the loader must return a positioned
      [Error] ("line N", "offset N" or "path:N:"), unless the cut falls
@@ -15,7 +15,11 @@
    - a random byte overwritten with any byte: [Ok] or a positioned
      [Error].
 
-   No loader may raise on any of them. *)
+   No loader may raise on any of them.  The invariant file is plain
+   text in which a cut or an overwritten byte often leaves valid lines,
+   so it has its own two properties: damage gives [Ok] or a positioned
+   [Error], and an inserted malformed line is an [Error] naming that
+   line. *)
 
 module Json = Yashme_util.Json
 module Trace = Observe.Trace
@@ -30,6 +34,7 @@ module Registry = Pm_benchmarks.Registry
 module Corpus = Pm_corpus.Corpus
 module Witness = Pm_corpus.Witness
 module Ledger_store = Pm_corpus.Ledger_store
+module Invariant = Pm_oracle.Invariant
 module Soak_store = Pm_corpus.Soak_store
 module Bench_gate = Pm_corpus.Bench_gate
 
@@ -73,6 +78,18 @@ let corpus_bytes () =
          Registry.all)
   in
   Corpus.to_jsonl witnesses
+
+(* The same corpus as format v2 (even lines) and v1 (odd lines, which
+   predate the "variant" field) witnesses, as older builds wrote them. *)
+let old_corpus_bytes corpus =
+  String.split_on_char '\n' corpus
+  |> List.mapi (fun i line ->
+         let v2 = Str.replace_first (Str.regexp_string "{\"v\":3,") "{\"v\":2," line in
+         if i mod 2 = 0 then v2
+         else
+           Str.replace_first (Str.regexp_string "{\"v\":2,") "{\"v\":1,"
+             (Str.replace_first (Str.regexp "\"variant\":\"[^\"]*\",") "" v2))
+  |> String.concat "\n"
 
 (* A CCEH run with attribution and tracing on: its attribution rows,
    and its trace in both export formats. *)
@@ -175,9 +192,13 @@ let artifacts =
   lazy
     (let o, rows, chrome, jsonl = cceh_run () in
      let jsonl_reader decode path = ignore_ok (Json.of_jsonl decode (read path)) in
+     let corpus = corpus_bytes () in
      [
        { name = "check-all corpus"; suffix = ".jsonl"; line_oriented = true;
-         bytes = corpus_bytes ();
+         bytes = corpus;
+         load = (fun p -> ignore_ok (Corpus.load p)) };
+       { name = "witness v1-v2 corpus"; suffix = ".jsonl"; line_oriented = true;
+         bytes = old_corpus_bytes corpus;
          load = (fun p -> ignore_ok (Corpus.load p)) };
        { name = "ledger"; suffix = ".jsonl"; line_oriented = true;
          bytes = ledger_bytes o rows;
@@ -214,7 +235,17 @@ let load a data =
   | exception exn ->
       Alcotest.failf "%s: loader raised %s" a.name (Printexc.to_string exn)
 
+let contains s sub =
+  try ignore (Str.search_forward (Str.regexp_string sub) s 0); true
+  with Not_found -> false
+
 let test_pristine_files_load () =
+  (match List.find_opt (fun a -> a.name = "witness v1-v2 corpus") (Lazy.force artifacts) with
+  | Some a ->
+      check "v1 and v2 lines, no v3" true
+        (contains a.bytes "{\"v\":1," && contains a.bytes "{\"v\":2,"
+        && not (contains a.bytes "{\"v\":3,"))
+  | None -> Alcotest.fail "no old-format corpus");
   List.iter
     (fun a ->
       check (a.name ^ " is non-empty") true (String.length a.bytes > 0);
@@ -272,6 +303,84 @@ let prop_byte_overwrite =
       | Ok () -> true
       | Error e -> positioned e)
 
+(* ------------------------------------------------------------------ *)
+(* The invariant file                                                   *)
+
+(* The invariants inferred for every registry program with an observe
+   hook, under a comment line, as [Invariant.to_lines] writes them. *)
+let invariant_text =
+  lazy
+    ("# inferred invariants\n"
+    ^ String.concat ""
+        (List.filter_map
+           (fun p ->
+             Option.map
+               (fun prep -> Invariant.to_lines prep.Runner.op_invariants)
+               (Runner.prepare_oracle p))
+           (Pm_benchmarks.Demo_faults.inconsistency :: Registry.all)))
+
+let parse_invariants text =
+  match Invariant.of_lines text with
+  | r -> Result.map ignore r
+  | exception exn ->
+      Alcotest.failf "Invariant.of_lines raised %s" (Printexc.to_string exn)
+
+let test_invariant_text () =
+  let text = Lazy.force invariant_text in
+  check "several invariants inferred" true
+    (List.length (String.split_on_char '\n' text) > 3);
+  match parse_invariants text with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "pristine invariant file rejected: %s" e
+
+let line_error n e =
+  Str.string_match (Str.regexp (Printf.sprintf "line %d: " n)) e 0
+
+let prop_invariant_damage =
+  QCheck.Test.make ~name:"invariant damage is Ok or positioned" ~count:400
+    damage_arb (fun (cut, p, c) ->
+      let s = Lazy.force invariant_text in
+      let pos = p mod String.length s in
+      let damaged =
+        if cut mod 2 = 0 then String.sub s 0 pos else overwrite s pos c
+      in
+      match parse_invariants damaged with
+      | Ok () -> true
+      | Error e -> Str.string_match (Str.regexp "line [0-9]+: ") e 0)
+
+(* Lines [of_lines] must reject: an order without or with two [<], an
+   empty label, a one-field atomic, bad escapes (one not of two hex
+   digits), an unknown keyword. *)
+let malformed_line =
+  QCheck.Gen.(
+    let label = string_size ~gen:(oneofl [ 'a'; 'f'; '.'; '_'; '1' ]) (int_range 1 8) in
+    oneof
+      [
+        map (fun l -> "order " ^ l) label;
+        map2 (fun a b -> Printf.sprintf "order %s < %s < %s" a b a) label label;
+        map (fun l -> "order  < " ^ l) label;
+        map (fun l -> "atomic " ^ l) label;
+        map2 (fun a b -> Printf.sprintf "atomic %s, \\q%s" a b) label label;
+        map2 (fun a b -> Printf.sprintf "order %s\\x1_ < %s" a b) label label;
+        map (fun l -> "invariant " ^ l) label;
+      ])
+
+let prop_invariant_malformed_line =
+  QCheck.Test.make ~name:"invariant malformed line is named" ~count:200
+    (QCheck.make ~print:(fun (i, l) -> Printf.sprintf "(line %d, %S)" i l)
+       QCheck.Gen.(pair (int_bound 1000) malformed_line))
+    (fun (i, bad) ->
+      let lines = String.split_on_char '\n' (Lazy.force invariant_text) in
+      let at = i mod List.length lines in
+      let text =
+        String.concat "\n"
+          (List.filteri (fun k _ -> k < at) lines
+          @ (bad :: List.filteri (fun k _ -> k >= at) lines))
+      in
+      match parse_invariants text with
+      | Ok () -> false
+      | Error e -> line_error (at + 1) e)
+
 (* A hostile trace nesting a million arrays deep is rejected at the
    nesting bound, quickly, instead of recursing through all of it. *)
 let test_profile_deep_nesting () =
@@ -292,8 +401,10 @@ let () =
           Alcotest.test_case "pristine files load" `Quick test_pristine_files_load;
           Alcotest.test_case "profile rejects deep nesting" `Quick
             test_profile_deep_nesting;
+          Alcotest.test_case "invariant file loads" `Quick test_invariant_text;
         ] );
       ( "fuzz",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_truncation; prop_control_overwrite; prop_byte_overwrite ] );
+          [ prop_truncation; prop_control_overwrite; prop_byte_overwrite;
+            prop_invariant_damage; prop_invariant_malformed_line ] );
     ]

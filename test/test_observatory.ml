@@ -61,7 +61,7 @@ let attribution_jsonl rows =
 let test_attribution_disabled_is_noop () =
   quiesce ();
   let c = Attribution.center ~units:"ops" "test/noop" in
-  Attribution.charge c ~count:3 ~units:7 ~wall_us:11 ();
+  Attribution.charge c ~count:3 ~units:7 ~wall_us:11;
   Attribution.tick c;
   check_int "nothing recorded while disabled" 0
     (List.length (Attribution.snapshot ()));
@@ -74,7 +74,7 @@ let test_attribution_accumulates_and_merges () =
   (* charges from two domains land on different shards and sum on read *)
   let work () =
     for _ = 1 to 5 do
-      Attribution.charge c ~count:1 ~units:10 ~wall_us:2 ()
+      Attribution.charge c ~count:1 ~units:10 ~wall_us:2
     done
   in
   let d = Domain.spawn work in
@@ -95,10 +95,10 @@ let test_attribution_diff_and_registry () =
   (* the registry is find-or-create: same name, same cells *)
   let a = Attribution.center ~units:"ops" "test/diff" in
   let a' = Attribution.center "test/diff" in
-  Attribution.charge a ~units:5 ();
-  Attribution.charge a' ~units:5 ();
+  Attribution.charge a ~count:1 ~units:5 ~wall_us:0;
+  Attribution.charge a' ~count:1 ~units:5 ~wall_us:0;
   let before = Attribution.snapshot () in
-  Attribution.charge a ~count:2 ~units:3 ();
+  Attribution.charge a ~count:2 ~units:3 ~wall_us:0;
   let d = Attribution.diff before (Attribution.snapshot ()) in
   (match d with
   | [ r ] ->

@@ -421,7 +421,7 @@ let run_charge = function
   | Add (n, d) -> Metrics.add (Metrics.counter n) d
   | Sample (n, v) -> Metrics.observe (Metrics.histogram n) v
   | Charge (n, count, units, wall_us) ->
-      Attribution.charge (center_of n) ~count ~units ~wall_us ()
+      Attribution.charge (center_of n) ~count ~units ~wall_us
 
 let gen_charge ~fresh =
   QCheck.Gen.(
@@ -482,25 +482,21 @@ let run_split domains script =
   List.iter run_charge (chunk 0);
   List.iter Domain.join spawned
 
+(* A histogram's maximum over a script, floored at 0 like its cell. *)
+let model_max script name =
+  List.fold_left
+    (fun m -> function Sample (n, v) when n = name -> max m v | _ -> m)
+    0 script
+
 (* What the diffs must be, from a plain Hashtbl fold over the scripts:
    counters and centers sum the after-script's deltas (a center's wall
    only from positive charges, zero-count and zero-unit charges adding
-   nothing); a histogram's #max is the after-max minus the before-max
-   (both floored at 0). *)
-let model_diffs before after =
+   nothing); a histogram contributes #count and #sum but no #max row,
+   since a running maximum has no window difference. *)
+let model_diffs after =
   let sums : (string, int) Hashtbl.t = Hashtbl.create 16 in
   let find tbl k = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
   let bump k d = Hashtbl.replace sums k (d + find sums k) in
-  let maxes script =
-    let m = Hashtbl.create 4 in
-    List.iter
-      (function
-        | Sample (n, v) -> Hashtbl.replace m n (max v (find m n))
-        | Add _ | Charge _ -> ())
-      script;
-    m
-  in
-  let before_max = maxes before and all_max = maxes (before @ after) in
   List.iter
     (function
       | Add (n, d) -> bump n d
@@ -512,13 +508,12 @@ let model_diffs before after =
           bump (n ^ "\000units") u;
           if w > 0 then bump (n ^ "\000wall") w)
     after;
-  Hashtbl.iter (fun n m -> bump (n ^ "#max") (m - find before_max n)) all_max;
   let get = find sums in
-  let names f = List.sort_uniq compare (List.filter_map f (before @ after)) in
+  let names f = List.sort_uniq compare (List.filter_map f after) in
   let metrics =
     names (function
       | Add (n, _) -> Some [ n ]
-      | Sample (n, _) -> Some [ n ^ "#count"; n ^ "#sum"; n ^ "#max" ]
+      | Sample (n, _) -> Some [ n ^ "#count"; n ^ "#sum" ]
       | Charge _ -> None)
     |> List.concat |> List.sort_uniq compare
     |> List.filter_map (fun k -> if get k = 0 then None else Some (k, get k))
@@ -556,15 +551,25 @@ let prop_registry_matches_model (before, after, domains) =
   List.iter run_charge before;
   let m0 = Metrics.snapshot () and a0 = Attribution.snapshot () in
   run_split domains after;
-  let md = Metrics.diff m0 (Metrics.snapshot ())
+  let m1 = Metrics.snapshot () in
+  let md = Metrics.diff m0 m1
   and ad = Attribution.diff a0 (Attribution.snapshot ()) in
   quiesce ();
   Attribution.disable ();
   Attribution.reset ();
-  let expect_m, expect_a = model_diffs before after in
+  let expect_m, expect_a = model_diffs after in
   let show m = String.concat ", " (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) m) in
   if md <> expect_m then
     QCheck.Test.fail_reportf "metrics diff %s <> model %s" (show md) (show expect_m);
+  (* The whole-run snapshot (the registry was reset before [before])
+     carries each histogram's true maximum. *)
+  List.iter
+    (fun h ->
+      let got = Option.value ~default:0 (List.assoc_opt (h ^ "#max") m1)
+      and want = model_max (before @ after) h in
+      if got <> want then
+        QCheck.Test.fail_reportf "snapshot %s#max %d <> model %d" h got want)
+    [ "model/h0"; "model/h1" ];
   if ad <> expect_a then
     QCheck.Test.fail_reportf "attribution diff %s <> model %s"
       (Attribution.to_string ad) (Attribution.to_string expect_a);

@@ -378,6 +378,54 @@ let alloc_cases =
         words /. float_of_int !ops );
   ]
 
+(* The observe views cost nothing when off: marginal minor words per
+   call of each disabled hook, over [2n] calls minus [n] (so [f]'s
+   fixed cost cancels), with a ceiling of 0.  Arguments vary with the
+   loop index, as they do at instrumentation sites, so an optional
+   argument boxed at the call would show. *)
+let off_words hooks () =
+  Observe.Metrics.disable ();
+  Observe.Attribution.disable ();
+  Observe.Coverage.disable ();
+  let n = 1000 in
+  let words reps =
+    minor_words_of (fun () ->
+        Observe.Coverage.with_program "alloc-gate" (fun () ->
+            for i = 1 to reps do
+              hooks i
+            done))
+  in
+  (words (2 * n) -. words n) /. float_of_int n
+
+let off_cases =
+  let counter = Observe.Metrics.counter "alloc-gate/counter"
+  and histogram = Observe.Metrics.histogram "alloc-gate/histogram"
+  and center = Observe.Attribution.center ~units:"bytes" "alloc-gate/center" in
+  [
+    ( "metrics off",
+      0.,
+      off_words (fun i ->
+          Observe.Metrics.incr counter;
+          Observe.Metrics.add counter i;
+          Observe.Metrics.observe histogram i) );
+    ( "attribution off",
+      0.,
+      off_words (fun i ->
+          Observe.Attribution.tick center;
+          Observe.Attribution.charge center ~count:1 ~units:i ~wall_us:i) );
+    ( "coverage off",
+      0.,
+      off_words (fun i ->
+          Observe.Coverage.scenario_started ();
+          Observe.Coverage.plan_exercised i;
+          Observe.Coverage.crash_point i;
+          Observe.Coverage.prefix_expanded ();
+          Observe.Coverage.pruned `Coherence;
+          Observe.Coverage.line_materialized i;
+          Observe.Coverage.oracle_checked ();
+          Observe.Coverage.oracle_violation ()) );
+  ]
+
 let test_alloc_per_op (name, ceiling, measure) () =
   let w = measure () in
   Printf.printf "%s: %.2f minor words/op (ceiling %.0f)\n" name w ceiling;
@@ -424,5 +472,5 @@ let () =
       ( "alloc-gate",
         List.map
           (fun ((name, _, _) as c) -> Alcotest.test_case name `Quick (test_alloc_per_op c))
-          alloc_cases );
+          (alloc_cases @ off_cases) );
     ]

@@ -1,6 +1,6 @@
 (* Tests for the scaling observatory: per-domain timeline
-   reconstruction (busy/wait/idle classification, edge cases, ASCII and
-   SVG rendering, idle-gap histograms), the jobs-sweep analyzer (Amdahl
+   reconstruction (busy/wait/idle classification, edge cases, ASCII
+   rendering, idle-gap histograms), the jobs-sweep analyzer (Amdahl
    fit, loss decomposition, the non-timing-projection determinism
    check) and the multi-metric scaling gate.  The crux contract is
    asserted end to end on a real engine run: the non-timing projection
@@ -8,6 +8,7 @@
 
 module Timeline = Observe.Timeline
 module Scaling = Observe.Scaling
+module Ledger = Observe.Ledger
 module Trace = Observe.Trace
 module Bench_gate = Pm_corpus.Bench_gate
 module Json = Yashme_util.Json
@@ -161,56 +162,38 @@ let test_timeline_ascii () =
     (List.length
        (List.filter (fun l -> l <> "") (String.split_on_char '\n' chart)))
 
-let test_timeline_svg_well_formed () =
-  let t = reconstruct engine_trace in
-  let doc = Timeline.svg t in
-  (match Timeline.check_svg doc with
-  | Ok () -> ()
-  | Error msg -> Alcotest.failf "emitted SVG rejected: %s" msg);
-  (* The checker is a real checker: unbalanced and ill-quoted documents
-     are rejected. *)
-  check "unbalanced rejected" true
-    (Result.is_error (Timeline.check_svg "<svg><rect></svg>"));
-  check "unquoted attr rejected" true
-    (Result.is_error (Timeline.check_svg "<svg width=3></svg>"));
-  check "bad entity rejected" true
-    (Result.is_error (Timeline.check_svg "<svg>&nope;</svg>"));
-  check "non-svg root rejected" true
-    (Result.is_error (Timeline.check_svg "<html></html>"));
-  check "prolog accepted" true
-    (Result.is_ok (Timeline.check_svg "<?xml version=\"1.0\"?><svg></svg>"))
-
-let test_timeline_lane_fields_flat () =
-  let t = reconstruct engine_trace in
-  List.iter
-    (fun l ->
-      let line = Json.encode_obj (Timeline.lane_fields t l) in
-      match Json.decode_obj line with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.failf "lane JSONL rejected: %s" msg)
-    t.Timeline.t_lanes
-
 (* ------------------------------------------------------------------ *)
 (* Jobs-sweep analysis                                                  *)
 
-let level ?(scenarios = 28) ?(races = 4) ~jobs ~elapsed_s () =
+let cost center ?(units = 0) wall_us =
+  { Ledger.c_center = center; c_count = 1; c_units = units; c_wall_us = wall_us }
+
+let level ?(scenarios = 28) ?(races = 4) ?(cost = []) ~jobs ~elapsed_s () =
   {
-    Scaling.v_jobs = jobs;
-    v_elapsed_s = elapsed_s;
-    v_cpu_s = elapsed_s;
-    v_scenarios = scenarios;
-    v_completed = scenarios;
-    v_faulted = 0;
-    v_executions = 2 * scenarios;
-    v_ops = 100 * scenarios;
-    v_races = races;
-    v_witnesses = races;
-    v_snapshot_bytes = 0;
-    v_queue_wait_us = 0;
-    v_snapshot_us = 0;
-    v_merge_us = 0;
-    v_gc_minor_words = 0;
-    v_gc_major_words = 0;
+    Ledger.e_version = Ledger.version;
+    e_run = "toy";
+    e_ts = 0.;
+    e_program = "toy";
+    e_variant = "strict-tso";
+    e_mode = "mc";
+    e_jobs = jobs;
+    e_seed = 0;
+    e_scenarios = scenarios;
+    e_completed = scenarios;
+    e_faulted = 0;
+    e_diverged = 0;
+    e_executions = 2 * scenarios;
+    e_ops = 100 * scenarios;
+    e_races = races;
+    e_benign = 0;
+    e_raw_races = races;
+    e_recovery_failures = 0;
+    e_witnesses = races;
+    e_elapsed_s = elapsed_s;
+    e_cpu_s = elapsed_s;
+    e_metrics_digest = "";
+    e_coverage_digest = "";
+    e_cost = cost;
   }
 
 let analyze levels =
@@ -257,11 +240,11 @@ let test_scaling_single_level () =
 
 let test_scaling_loss_centers () =
   let slow =
-    { (level ~jobs:4 ~elapsed_s:1.0 ()) with
-      Scaling.v_queue_wait_us = 2_000_000;
-      v_snapshot_us = 500_000;
-      v_merge_us = 100_000;
-    }
+    level ~jobs:4 ~elapsed_s:1.0
+      ~cost:
+        [ cost "engine/merge" 100_000; cost "engine/queue_wait" 2_000_000;
+          cost "px86/snapshot_copy" 500_000 ]
+      ()
   in
   let a = analyze [ level ~jobs:1 ~elapsed_s:1.0 (); slow ] in
   (match a.Scaling.a_loss_centers with
@@ -277,7 +260,7 @@ let test_scaling_check () =
   let l4 = level ~jobs:4 ~elapsed_s:0.9 () in
   check "matching projections pass" true
     (Scaling.check ~program:"toy" [ l1; l4 ] = Ok ());
-  let diverged = { l4 with Scaling.v_races = 5 } in
+  let diverged = { l4 with Ledger.e_races = 5 } in
   (match Scaling.check ~program:"toy" [ l1; diverged ] with
   | Error msg ->
       check "divergence names the field" true
@@ -286,7 +269,9 @@ let test_scaling_check () =
          with Not_found -> false)
   | Ok () -> Alcotest.fail "diverging races passed the check");
   (* Timing may differ arbitrarily without tripping the check. *)
-  let slow = { l4 with Scaling.v_elapsed_s = 99.; v_gc_minor_words = 123 } in
+  let slow =
+    { l4 with Ledger.e_elapsed_s = 99.; e_cost = [ cost "gc/minor" ~units:123 0 ] }
+  in
   check "timing divergence tolerated" true
     (Scaling.check ~program:"toy" [ l1; slow ] = Ok ())
 
@@ -372,32 +357,11 @@ let run_level ~jobs p =
   let o = Runner.model_check_outcome ~jobs p in
   let att = Observe.Attribution.diff att0 (Observe.Attribution.snapshot ()) in
   Observe.Attribution.disable ();
-  let stats = o.Runner.o_stats in
-  let r = o.Runner.o_report in
-  let ex =
-    Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o
-  in
-  let snapshot_bytes, queue_wait_us, snapshot_us, merge_us, gc_minor, gc_major =
-    Scaling.of_attribution att
-  in
-  {
-    Scaling.v_jobs = stats.Pm_harness.Engine.jobs;
-    v_elapsed_s = stats.Pm_harness.Engine.elapsed_s;
-    v_cpu_s = stats.Pm_harness.Engine.cpu_s;
-    v_scenarios = stats.Pm_harness.Engine.scenarios;
-    v_completed = stats.Pm_harness.Engine.completed;
-    v_faulted = stats.Pm_harness.Engine.faulted;
-    v_executions = stats.Pm_harness.Engine.executions;
-    v_ops = stats.Pm_harness.Engine.ops;
-    v_races = List.length (Report.real r);
-    v_witnesses = List.length ex.Pm_corpus.Witness.witnesses;
-    v_snapshot_bytes = snapshot_bytes;
-    v_queue_wait_us = queue_wait_us;
-    v_snapshot_us = snapshot_us;
-    v_merge_us = merge_us;
-    v_gc_minor_words = gc_minor;
-    v_gc_major_words = gc_major;
-  }
+  let ex = Pm_corpus.Witness.of_outcome ~program:p.Pm_harness.Program.name o in
+  Pm_corpus.Ledger_store.of_report ~run:"sweep" ~mode:"mc" ~seed:0
+    ~witnesses:(List.length ex.Pm_corpus.Witness.witnesses)
+    ~stats:o.Runner.o_stats
+    (Report.with_attribution o.Runner.o_report att)
 
 let test_projection_jobs_identity () =
   let p = Pm_benchmarks.Memcached.program in
@@ -418,7 +382,7 @@ let test_projection_jobs_identity () =
          (Scaling.fields ~timing:false ~program:"Memcached" (l, zero)))
   in
   check_str "byte-identical projection at jobs 1 and 4" (line l1) (line l4);
-  check "the run found races" true (l1.Scaling.v_races > 0)
+  check "the run found races" true (l1.Ledger.e_races > 0)
 
 let () =
   Alcotest.run "scaling"
@@ -437,9 +401,6 @@ let () =
           Alcotest.test_case "empty trace rejected" `Quick
             test_timeline_empty_rejected;
           Alcotest.test_case "ascii chart" `Quick test_timeline_ascii;
-          Alcotest.test_case "svg well-formedness" `Quick
-            test_timeline_svg_well_formed;
-          Alcotest.test_case "lane JSONL" `Quick test_timeline_lane_fields_flat;
         ] );
       ( "sweep",
         [

@@ -310,10 +310,13 @@ let test_profile_lanes_isolated () =
   let rows = Profile.by_name events in
   let find k = List.find (fun r -> r.Profile.r_key = k) rows in
   check_int "no cross-lane nesting" 100 (find "a").Profile.r_self_us;
-  let lanes = Profile.lanes events in
-  check_int "two lanes" 2 (List.length lanes);
-  check_int "lane busy = top-level duration" 100
-    (List.hd lanes).Profile.l_busy_us
+  match Observe.Timeline.of_events events with
+  | Error e -> Alcotest.fail e
+  | Ok t ->
+      let lanes = t.Observe.Timeline.t_lanes in
+      check_int "two lanes" 2 (List.length lanes);
+      check_int "lane busy = top-level duration" 100
+        (List.hd lanes).Observe.Timeline.tl_busy_us
 
 let test_profile_parse_roundtrip () =
   quiesce ();
